@@ -228,7 +228,6 @@ def build_simulation(cfg: ExperimentConfig) -> Simulation:
     round_cfg = RoundConfig(
         n_clients=cfg.clients,
         clients_per_round=cfg.clients_per_round,
-        total_rounds=cfg.rounds,
         local_epochs=cfg.epochs,
         lr=cfg.lr,
         alpha=cfg.alpha,

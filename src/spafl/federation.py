@@ -61,7 +61,6 @@ class ServerState:
 class RoundConfig:
     n_clients: int
     clients_per_round: int
-    total_rounds: int
     local_epochs: int
     lr: float
     alpha: float

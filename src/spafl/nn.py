@@ -12,6 +12,15 @@ Conventions:
     forward pass always evaluates the masked weights w * p, and the bias of a
     fully pruned row is masked too so the unit's output is exactly removed
   * weight gradients of pruned rows are exactly zero
+  * convolutions use the im2col/GEMM lowering (Chellapilla et al. 2006;
+    Caffe): the forward pass is one matmul over the patch matrix, the weight
+    gradient is one GEMM ``dy.T @ cols`` over all (sample, position) rows,
+    and the input gradient scatters the patch gradients back with one
+    strided slice add per kernel offset (col2im)
+  * backprop stops after the first prunable layer's weight and bias
+    gradients: the gradient w.r.t. the input batch is never computed
+  * each layer's forward cache is released as soon as backprop has consumed
+    it, so the large conv patch matrices do not all stay alive at once
 """
 
 from __future__ import annotations
@@ -119,6 +128,21 @@ def _pool_window_index(c: int, h: int, w: int, kh: int, kw: int, stride: int):
     dx = np.arange(kw)[None, None, None, None, :]
     idx = ch * (h * w) + (oy + dy) * w + (ox + dx)
     return idx.reshape(c * oh * ow, kh * kw), (oh, ow)
+
+
+def _col2im(dcols: np.ndarray, in_shape: tuple[int, ...], spec: LayerSpec, out_shape: tuple[int, ...]) -> np.ndarray:
+    """Scatter-add im2col patch gradients (B*oh*ow, c*kh*kw) back onto the
+    (B, C, H, W) input: one strided slice add per kernel offset."""
+    n, c, h, w = in_shape
+    kh, kw = spec.kernel
+    s = spec.stride
+    _, oh, ow = out_shape
+    d = dcols.reshape(n, oh, ow, c, kh, kw)
+    dx = np.zeros((n, h, w, c))
+    for ky in range(kh):
+        for kx in range(kw):
+            dx[:, ky : ky + s * (oh - 1) + 1 : s, kx : kx + s * (ow - 1) + 1 : s, :] += d[:, :, :, :, ky, kx]
+    return dx.transpose(0, 3, 1, 2)
 
 
 class Network:
@@ -253,19 +277,19 @@ def _forward(net: Network, params: NetworkParams, masks: list[np.ndarray] | None
         elif spec.kind == "conv2d":
             idx = net._gather[li]
             xf = x.reshape(n, -1)
-            cols = xf[:, idx]  # (B, oh*ow, n_in)
+            cols = np.take(xf, idx, axis=1)  # (B, oh*ow, n_in); C-contiguous, unlike xf[:, idx]
             wm, bm, _ = _masked_layer(params, masks, pi)
             y = cols @ wm.T  # (B, oh*ow, n_out)
             if bm is not None:
                 y = y + bm
             f, oh, ow = net.out_shapes[li]
-            caches.append(("conv2d", pi, x.shape, cols, wm, idx))
+            caches.append(("conv2d", pi, x.shape, cols, wm))
             x = y.transpose(0, 2, 1).reshape(n, f, oh, ow)
             pi += 1
         elif spec.kind == "maxpool2d":
             idx = net._gather[li]
             xf = x.reshape(n, -1)
-            win = xf[:, idx]  # (B, c*oh*ow, kh*kw)
+            win = np.take(xf, idx, axis=1)  # (B, c*oh*ow, kh*kw)
             arg = np.argmax(win, axis=2)  # first occurrence wins ties
             y = np.take_along_axis(win, arg[:, :, None], axis=2)[:, :, 0]
             caches.append(("maxpool2d", x.shape, idx, arg))
@@ -329,12 +353,14 @@ def backward_pass(
     n = logits.shape[0]
     probs = _softmax(logits)
     loss = loss_cross_entropy(logits, labels)
-    grads = params.zeros_like()
+    grads = NetworkParams(weights=[None] * len(params.weights), biases=[None] * len(params.biases))
     delta = probs
     delta[np.arange(n), labels] -= 1.0
     delta /= n  # d(mean CE)/d(logits)
     dx = delta
-    for cache in reversed(caches):
+    while caches:
+        cache = caches.pop()  # release each layer's cache once consumed
+        li = len(caches)  # one cache per layer, so this is the layer index
         kind = cache[0]
         if kind == "dense":
             _, pi, in_shape, x2, wm = cache
@@ -342,18 +368,20 @@ def backward_pass(
             grads.weights[pi] = dy.T @ x2
             if params.biases[pi] is not None:
                 grads.biases[pi] = dy.sum(axis=0)
+            if pi == 0:
+                break  # nothing below the first prunable layer needs a gradient
             dx = (dy @ wm).reshape(in_shape)
         elif kind == "conv2d":
-            _, pi, in_shape, cols, wm, idx = cache
+            _, pi, in_shape, cols, wm = cache
             f = wm.shape[0]
-            dy = dx.reshape(n, f, -1).transpose(0, 2, 1)  # (B, oh*ow, n_out)
-            grads.weights[pi] = np.einsum("bpf,bpj->fj", dy, cols)
+            dy2 = dx.reshape(n, f, -1).transpose(0, 2, 1).reshape(-1, f)  # (B*oh*ow, n_out)
+            grads.weights[pi] = dy2.T @ cols.reshape(-1, cols.shape[-1])
             if params.biases[pi] is not None:
-                grads.biases[pi] = dy.sum(axis=(0, 1))
-            dcols = dy @ wm  # (B, oh*ow, n_in)
-            dxf = np.zeros((n, int(np.prod(in_shape[1:]))))
-            np.add.at(dxf, (np.arange(n)[:, None, None], idx[None, :, :]), dcols)
-            dx = dxf.reshape(in_shape)
+                grads.biases[pi] = dy2.sum(axis=0)
+            if pi == 0:
+                break
+            del cache, cols  # free the patch matrix before its gradient is built
+            dx = _col2im(dy2 @ wm, in_shape, net.specs[li], net.out_shapes[li])
         elif kind == "maxpool2d":
             _, in_shape, idx, arg = cache
             dyf = dx.reshape(n, -1)

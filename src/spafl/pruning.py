@@ -21,8 +21,6 @@ from .nn import Network, NetworkParams
 # a layer whose row density drops below this fraction has its thresholds reset
 RESET_DENSITY = 0.01
 
-ThresholdVector = list  # list[np.ndarray], one (n_out,) vector per prunable layer
-
 
 def init_thresholds(net: Network) -> list[np.ndarray]:
     """All thresholds start at zero (nothing pruned)."""

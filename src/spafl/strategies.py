@@ -155,7 +155,8 @@ def run_local_round(sim: Simulation, round_index: int, do_eval: bool = False) ->
     for cid in ids:
         client = sim.clients[cid]
         if client.train_idx.size == 0:
-            skipped.append(client.client_id)
+            warnings.warn(f"client {cid} has no training data; skipped this round", stacklevel=2)
+            skipped.append(cid)
             continue
         _, train_flops = local_train(
             sim.net,
@@ -167,7 +168,7 @@ def run_local_round(sim: Simulation, round_index: int, do_eval: bool = False) ->
             alpha=cfg.alpha,
             momentum=cfg.momentum,
             batch_size=cfg.batch_size,
-            rng=client_rng(cfg.seed, round_index, client.client_id),
+            rng=client_rng(cfg.seed, round_index, cid),
             update_params=True,
             update_thresholds=True,
         )

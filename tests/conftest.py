@@ -44,6 +44,25 @@ def tiny_conv_net(seed: int = 0) -> tuple[nn.Network, nn.NetworkParams]:
     return net, params
 
 
+def strided_conv_net(seed: int = 0) -> tuple[nn.Network, nn.NetworkParams]:
+    """Two stacked convs, so a conv input gradient (col2im) is backpropagated:
+    the second conv has a 3x2 kernel at stride 2, and the pool windows
+    overlap (stride 1)."""
+    net = nn.Network(
+        (2, 9, 8),
+        [
+            nn.conv2d(3, (3, 3)),
+            nn.relu(),
+            nn.conv2d(4, (3, 2), stride=2),
+            nn.relu(),
+            nn.maxpool2d((2, 2), stride=1),
+            nn.dense(3),
+        ],
+    )
+    params = nn.init_params(net, np.random.default_rng(seed))
+    return net, params
+
+
 def tiny_dense_net(n_in: int = 4, hidden: int = 5, n_out: int = 3, seed: int = 0):
     net = nn.Network((n_in,), [nn.dense(hidden), nn.relu(), nn.dense(n_out)])
     params = nn.init_params(net, np.random.default_rng(seed))

@@ -234,6 +234,7 @@ def test_criterion_4_channel_discipline():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_5_desk_scale_trends(trend_runs):
     spafl = float(np.mean(trend_runs["spafl"]["best"]))
     local = float(np.mean(trend_runs["local_only"]["best"]))
@@ -256,6 +257,7 @@ def test_criterion_5_desk_scale_trends(trend_runs):
     assert ok_a and ok_b and ok_c and ok_t
 
 
+@pytest.mark.slow
 def test_criterion_6_thresholds_only_trend(trend_runs):
     frozen = float(np.mean(trend_runs["thresholds_only"]["best"]))
     seconds = trend_runs["thresholds_only"]["seconds"]

@@ -1,6 +1,8 @@
 """Engine tests: forward/backward correctness against hand arithmetic and the
 central-difference oracle, optimizer semantics, clamping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from spafl import nn
 from spafl.errors import ConfigurationError, DataError, NumericError
 
-from conftest import all_ones_masks, tiny_conv_net, tiny_dense_net
+from conftest import all_ones_masks, strided_conv_net, tiny_conv_net, tiny_dense_net
 
 
 def identity_dense_net(n: int) -> tuple[nn.Network, nn.NetworkParams]:
@@ -123,11 +125,18 @@ class TestBackward:
         assert grads.biases[0][1] == 0.0
         assert np.array_equal(grads.weights[2][0], np.zeros_like(grads.weights[2][0]))
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2, "strided"])
     def test_gradients_match_finite_differences(self, seed):
-        net, params = tiny_conv_net(seed)
+        # integer seeds draw tiny_conv_net, whose only conv comes first and
+        # so never backpropagates an input gradient; "strided" stacks two
+        # convs, which does
+        if seed == "strided":
+            net, params = strided_conv_net()
+            seed = 3
+        else:
+            net, params = tiny_conv_net(seed)
         rng = np.random.default_rng(seed + 100)
-        x = rng.uniform(0, 1, (3, 1, 6, 6))
+        x = rng.uniform(0, 1, (3, *net.input_shape))
         y = rng.integers(0, 3, 3)
         tau = [rng.uniform(0, 0.1, n) for n in net.threshold_sizes]
         from spafl import pruning
@@ -154,6 +163,37 @@ class TestBackward:
         assert l1 == l2
         for a, b in zip(g1.weights, g2.weights):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("li", [0, 2])
+    def test_col2im_matches_index_scatter(self, rng, li):
+        # reference: scatter-add every patch entry through the im2col gather
+        # indices; the strided-slice col2im only reorders the float sums
+        net, _ = strided_conv_net()
+        spec, in_shape, out_shape = net.specs[li], net.in_shapes[li], net.out_shapes[li]
+        idx = net._gather[li]
+        n = 3
+        dcols = rng.standard_normal((n * idx.shape[0], idx.shape[1]))
+        ref = np.zeros((n, int(np.prod(in_shape))))
+        np.add.at(ref, (np.arange(n)[:, None, None], idx[None]), dcols.reshape(n, *idx.shape))
+        got = nn._col2im(dcols, (n, *in_shape), spec, out_shape)
+        assert np.allclose(got, ref.reshape(n, *in_shape), rtol=1e-12, atol=1e-12)
+
+    def test_lenet_batch64_peak_memory(self):
+        # tracemalloc peak of one LeNet step at batch 64, numpy 2.4: 38.6 MB.
+        # Keeping every forward cache alive through backprop, or conv2's
+        # patch matrix alive while its input gradient is built, gives 54-55 MB
+        net = nn.build_lenet()
+        rng = np.random.default_rng(0)
+        params = nn.init_params(net, rng)
+        x = rng.uniform(0, 1, (64, *net.input_shape))
+        y = rng.integers(0, 10, 64)
+        tracemalloc.start()
+        try:
+            nn.backward_pass(net, params, None, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 45e6
 
 
 class TestFiniteDiffOracle:

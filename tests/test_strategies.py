@@ -18,6 +18,7 @@ from spafl.strategies import (
     run_local_round,
     run_spafl_no_importance_round,
     run_spafl_round,
+    run_strategy_round,
     run_thresholds_only_round,
 )
 
@@ -202,3 +203,14 @@ class TestFairComparison:
         sim = build_sim()
         digests = {weights_digest(c.params) for c in sim.clients}
         assert len(digests) == 1
+
+
+@pytest.mark.parametrize("strategy", ["spafl", "fedavg", "local_only"])
+def test_empty_client_is_skipped_with_warning(strategy):
+    sim = build_sim(strategy=strategy, clients_per_round=6)  # K = N: every client sampled
+    sim.clients[2].train_idx = np.array([], dtype=int)
+    before = weights_digest(sim.clients[2].params)
+    with pytest.warns(UserWarning, match="client 2 has no training data"):
+        metrics = run_strategy_round(sim, 0)
+    assert metrics.skipped_clients == [2]
+    assert weights_digest(sim.clients[2].params) == before
