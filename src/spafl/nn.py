@@ -8,15 +8,30 @@ Conventions:
     (n_out, n_in) with n_in = c_in * kh * kw and evaluated over extracted
     input patches, so dense and conv layers share one row-per-output-unit
     layout (the layout that per-filter pruning operates on)
-  * masks are per-layer (n_out, n_in) {0,1} matrices with constant rows; the
-    forward pass always evaluates the masked weights w * p, and the bias of a
-    fully pruned row is masked too so the unit's output is exactly removed
-  * weight gradients of pruned rows are exactly zero
+  * masks are per-layer (n_out, n_in) {0,1} matrices with constant rows;
+    only their first column is read. The model they define is the
+    masked-dense one, w * m with the bias of a pruned row removed; the
+    engine computes it without the pruned rows (structured-sparsity
+    compaction): a layer gathers the weights of its active rows, and of
+    those only the fan-in columns of the input channels (conv: c*kh*kw
+    blocks, dense after a flatten: c*H*W blocks, dense after dense: units)
+    that survived the layer below. Activations stay compacted through relu
+    and maxpool; the logits are scattered back to full width, so a pruned
+    logit is exactly 0
+  * a layer whose GEMMs have fewer rows (batch x output positions) than
+    ``_COMPACT_MIN_ROWS`` is not compacted: gathering and scattering its
+    weights would cost more than the multiply-adds skipped, so it runs at
+    full width and multiplies its output by the row mask
+  * weight and bias gradients come back at full shape, with the rows of
+    pruned output units exactly zero; ``masks=None`` and fully active
+    layers gather and scatter nothing
   * convolutions use the im2col/GEMM lowering (Chellapilla et al. 2006;
     Caffe): the forward pass is one matmul over the patch matrix, the weight
     gradient is one GEMM ``dy.T @ cols`` over all (sample, position) rows,
     and the input gradient scatters the patch gradients back with one
-    strided slice add per kernel offset (col2im)
+    strided slice add per kernel offset (col2im); max pooling is a running
+    max over the same strided offset slices, and its gradient one strided
+    slice add per offset
   * backprop stops after the first prunable layer's weight and bias
     gradients: the gradient w.r.t. the input batch is never computed
   * each layer's forward cache is released as soon as backprop has consumed
@@ -25,7 +40,9 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,41 +132,59 @@ def _conv_patch_index(c_in: int, h: int, w: int, kh: int, kw: int, stride: int):
     return idx.reshape(oh * ow, c_in * kh * kw), (oh, ow)
 
 
-def _pool_window_index(c: int, h: int, w: int, kh: int, kw: int, stride: int):
-    """Flat gather indices for per-channel pooling windows: (c*oh*ow, kh*kw)."""
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ConfigurationError(f"pool {kh}x{kw} does not fit input {h}x{w}")
-    ch = np.arange(c)[:, None, None, None, None]
-    oy = (stride * np.arange(oh))[None, :, None, None, None]
-    ox = (stride * np.arange(ow))[None, None, :, None, None]
-    dy = np.arange(kh)[None, None, None, :, None]
-    dx = np.arange(kw)[None, None, None, None, :]
-    idx = ch * (h * w) + (oy + dy) * w + (ox + dx)
-    return idx.reshape(c * oh * ow, kh * kw), (oh, ow)
+def _offset_slices(spec: LayerSpec, out_shape: tuple[int, ...]) -> list[tuple[slice, slice]]:
+    """Per kernel offset (ky, kx), in row-major order, the strided (row, col)
+    slices of the layer input that hold that offset of every output window."""
+    kh, kw = spec.kernel
+    s = spec.stride
+    _, oh, ow = out_shape
+    span_h, span_w = s * (oh - 1) + 1, s * (ow - 1) + 1
+    return [(slice(ky, ky + span_h, s), slice(kx, kx + span_w, s)) for ky in range(kh) for kx in range(kw)]
 
 
 def _col2im(dcols: np.ndarray, in_shape: tuple[int, ...], spec: LayerSpec, out_shape: tuple[int, ...]) -> np.ndarray:
     """Scatter-add im2col patch gradients (B*oh*ow, c*kh*kw) back onto the
     (B, C, H, W) input: one strided slice add per kernel offset."""
     n, c, h, w = in_shape
-    kh, kw = spec.kernel
-    s = spec.stride
     _, oh, ow = out_shape
-    d = dcols.reshape(n, oh, ow, c, kh, kw)
+    kk = spec.kernel[0] * spec.kernel[1]
+    d = dcols.reshape(n, oh, ow, c, kk)
     dx = np.zeros((n, h, w, c))
-    for ky in range(kh):
-        for kx in range(kw):
-            dx[:, ky : ky + s * (oh - 1) + 1 : s, kx : kx + s * (ow - 1) + 1 : s, :] += d[:, :, :, :, ky, kx]
+    for k, (sy, sx) in enumerate(_offset_slices(spec, out_shape)):
+        dx[:, sy, sx, :] += d[:, :, :, :, k]
     return dx.transpose(0, 3, 1, 2)
+
+
+def _maxpool(x: np.ndarray, spec: LayerSpec, out_shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Window maxima of a (B, C, H, W) batch as a running max over the strided
+    offset slices, plus each window's offset (ky*kw + kx) of its first maximum."""
+    slices = _offset_slices(spec, out_shape)
+    y = x[:, :, slices[0][0], slices[0][1]].copy()
+    arg = np.zeros(y.shape, dtype=np.min_scalar_type(len(slices) - 1))
+    for k, (sy, sx) in enumerate(slices[1:], start=1):
+        v = x[:, :, sy, sx]
+        better = v > y  # strict, so the first occurrence wins ties
+        np.maximum(y, v, out=y)
+        arg[better] = k
+    return y, arg
+
+
+def _maxpool_backward(
+    dy: np.ndarray, arg: np.ndarray, in_shape: tuple[int, ...], spec: LayerSpec, out_shape: tuple[int, ...]
+) -> np.ndarray:
+    """Route each window's gradient to its first maximum: one strided slice
+    add per kernel offset (overlapping windows accumulate)."""
+    dx = np.zeros(in_shape)
+    for k, (sy, sx) in enumerate(_offset_slices(spec, out_shape)):
+        dx[:, :, sy, sx] += dy * (arg == k)
+    return dx
 
 
 class Network:
     """Architecture: layer specs plus the shape flow from a fixed input shape.
 
-    The constructor resolves every ``n_in`` and precomputes the gather indices
-    used by conv and pool layers; the object itself is immutable and holds no
+    The constructor resolves every ``n_in`` and precomputes the patch gather
+    index of each conv layer; the object itself is immutable and holds no
     parameters, so it can be shared by every client.
     """
 
@@ -191,9 +226,12 @@ class Network:
                     raise ConfigurationError(f"maxpool2d expects (C,H,W) input, got {shape}")
                 c, h, w = shape
                 kh, kw = spec.kernel
-                idx, (oh, ow) = _pool_window_index(c, h, w, kh, kw, spec.stride)
+                oh = (h - kh) // spec.stride + 1
+                ow = (w - kw) // spec.stride + 1
+                if oh < 1 or ow < 1:
+                    raise ConfigurationError(f"pool {kh}x{kw} does not fit input {h}x{w}")
                 shape = (c, oh, ow)
-                self._gather.append(idx)
+                self._gather.append(None)
             else:  # relu
                 self._gather.append(None)
             specs.append(spec)
@@ -245,59 +283,127 @@ def _check_batch(net: Network, batch: np.ndarray) -> np.ndarray:
     return batch.reshape(batch.shape[0], *net.input_shape)
 
 
-def _masked_layer(params: NetworkParams, masks: list[np.ndarray] | None, pi: int):
-    """Masked weights, masked bias and the active-row vector for layer pi."""
-    w = params.weights[pi]
-    b = params.biases[pi]
+# A layer runs over its active rows only when its GEMMs have at least this
+# many rows (batch x output positions). Every skipped weight saves that many
+# multiply-adds per GEMM, while gathering the kept weights and scattering
+# their gradient back costs a fixed few per weight; below the cut the layer
+# runs at full width and multiplies its output by the row mask instead.
+_COMPACT_MIN_ROWS = 16
+
+
+class _LayerCache(NamedTuple):
+    """What backprop needs from the forward pass of one dense or conv layer."""
+
+    kind: str
+    pi: int
+    in_shape: tuple[int, ...]  # the layer input as evaluated
+    inputs: np.ndarray  # (B, n_in) for dense; the (B, oh*ow, n_in) patch matrix for conv
+    w: np.ndarray  # the weights as evaluated: compacted, or full
+    rows: np.ndarray | None  # the computed rows when compacted; None = all rows
+    keep: np.ndarray | None  # the input channels whose weight columns were gathered
+    expanded: np.ndarray | None  # the channels of the incoming activation scattered to full width
+    row_mask: np.ndarray | None  # at full width, the {0,1} row vector the output was multiplied by
+
+
+def _active_rows(params: NetworkParams, masks: list[np.ndarray] | None, pi: int) -> np.ndarray | None:
+    """Indices of layer pi's active rows, or None when every row is active."""
     if masks is None:
-        return w, b, None
+        return None
     m = masks[pi]
-    if m.shape != w.shape:
-        raise ConfigurationError(f"mask shape {m.shape} does not match weights {w.shape}")
-    row = m[:, 0]
-    return w * m, None if b is None else b * row, row
+    if m.shape != params.weights[pi].shape:
+        raise ConfigurationError(f"mask shape {m.shape} does not match weights {params.weights[pi].shape}")
+    rows = m[:, 0].nonzero()[0]
+    return None if rows.size == m.shape[0] else rows
+
+
+def _compact(w: np.ndarray, rows: np.ndarray | None, keep: np.ndarray | None, c_in: int) -> np.ndarray:
+    """The block of a (n_out, c_in*blk) weight matrix that the active rows
+    apply to the kept input channels; None keeps a whole axis."""
+    if rows is not None:
+        w = np.take(w, rows, axis=0)
+    if keep is not None:
+        k, blk = w.shape[0], w.shape[1] // c_in
+        w = np.take(w.reshape(k, c_in, blk), keep, axis=1).reshape(k, keep.size * blk)
+    return w
+
+
+def _expand(x: np.ndarray, keep: np.ndarray | None, size: int, axis: int) -> np.ndarray:
+    """Scatter x into zeros that are ``size`` long along ``axis``, at ``keep``."""
+    if keep is None:
+        return x
+    shape = list(x.shape)
+    shape[axis] = size
+    out = np.zeros(shape)
+    out[(slice(None),) * axis + (keep,)] = x
+    return out
+
+
+def _expand_weights(
+    g: np.ndarray, shape: tuple[int, int], rows: np.ndarray | None, keep: np.ndarray | None, c_in: int
+) -> np.ndarray:
+    """Inverse of :func:`_compact`: a compacted weight gradient placed into
+    zeros of the full (n_out, n_in) shape."""
+    if keep is None:
+        return _expand(g, rows, shape[0], 0)
+    n_out, n_in = shape
+    blk = n_in // c_in
+    out = np.zeros((n_out, c_in, blk))
+    out[slice(None) if rows is None else rows[:, None], keep] = g.reshape(g.shape[0], keep.size, blk)
+    return out.reshape(shape)
 
 
 def _forward(net: Network, params: NetworkParams, masks: list[np.ndarray] | None, batch: np.ndarray):
-    """Forward pass returning logits plus the per-layer caches for backprop."""
+    """Forward pass returning logits plus one cache per layer for backprop.
+
+    Activations carry only the channels (units) of computed rows: ``keep``
+    lists the channels present in ``x``, None meaning all of them.
+    """
     x = _check_batch(net, batch)
     n = x.shape[0]
     caches = []
+    keep = None
     pi = 0
     for li, spec in enumerate(net.specs):
-        if spec.kind == "dense":
-            x2 = x.reshape(n, -1)
-            wm, bm, _ = _masked_layer(params, masks, pi)
-            y = x2 @ wm.T
-            if bm is not None:
-                y = y + bm
-            caches.append(("dense", pi, x.shape, x2, wm))
+        if spec.kind in PRUNABLE_KINDS:
+            rows = _active_rows(params, masks, pi)
+            c_in = net.in_shapes[li][0]
+            w, b = params.weights[pi], params.biases[pi]
+            expanded = row_mask = None
+            if n * math.prod(net.out_shapes[li][1:]) >= _COMPACT_MIN_ROWS:
+                w = _compact(w, rows, keep, c_in)
+                if b is not None and rows is not None:
+                    b = b[rows]
+            else:
+                x, expanded, keep = _expand(x, keep, c_in, 1), keep, None
+                if rows is not None:
+                    row_mask, rows = masks[pi][:, 0], None
+            if spec.kind == "dense":
+                inputs = x.reshape(n, -1)
+            else:
+                idx = net._gather[li]
+                if keep is not None:  # the first keep.size channel blocks of every patch
+                    idx = idx[:, : keep.size * spec.kernel[0] * spec.kernel[1]]
+                inputs = np.take(x.reshape(n, -1), idx, axis=1)  # (B, oh*ow, n_in); C-contiguous, unlike [:, idx]
+            y = inputs @ w.T
+            if b is not None:
+                y += b
+            if row_mask is not None:
+                y *= row_mask
+            caches.append(_LayerCache(spec.kind, pi, x.shape, inputs, w, rows, keep, expanded, row_mask))
+            if spec.kind == "conv2d":
+                _, oh, ow = net.out_shapes[li]
+                y = y.transpose(0, 2, 1).reshape(n, w.shape[0], oh, ow)
             x = y
-            pi += 1
-        elif spec.kind == "conv2d":
-            idx = net._gather[li]
-            xf = x.reshape(n, -1)
-            cols = np.take(xf, idx, axis=1)  # (B, oh*ow, n_in); C-contiguous, unlike xf[:, idx]
-            wm, bm, _ = _masked_layer(params, masks, pi)
-            y = cols @ wm.T  # (B, oh*ow, n_out)
-            if bm is not None:
-                y = y + bm
-            f, oh, ow = net.out_shapes[li]
-            caches.append(("conv2d", pi, x.shape, cols, wm))
-            x = y.transpose(0, 2, 1).reshape(n, f, oh, ow)
+            keep = rows
             pi += 1
         elif spec.kind == "maxpool2d":
-            idx = net._gather[li]
-            xf = x.reshape(n, -1)
-            win = np.take(xf, idx, axis=1)  # (B, c*oh*ow, kh*kw)
-            arg = np.argmax(win, axis=2)  # first occurrence wins ties
-            y = np.take_along_axis(win, arg[:, :, None], axis=2)[:, :, 0]
-            caches.append(("maxpool2d", x.shape, idx, arg))
-            x = y.reshape(n, *net.out_shapes[li])
+            y, arg = _maxpool(x, spec, net.out_shapes[li])
+            caches.append(("maxpool2d", x.shape, arg))
+            x = y
         else:  # relu
             caches.append(("relu", x > 0.0))
             x = np.maximum(x, 0.0)
-    logits = x.reshape(n, -1)
+    logits = _expand(x, keep, net.out_shapes[-1][0], 1).reshape(n, -1)
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits in forward pass")
     return logits, caches
@@ -345,7 +451,8 @@ def backward_pass(
 ):
     """Mean cross-entropy loss and its gradient w.r.t. the dense parameters.
 
-    Gradients flow through the masked weights, so the returned gradient rows
+    Each layer's gradient is computed over its active rows and kept input
+    channels and placed into zeros of the full shape, so the returned rows
     of pruned output units (and their biases) are exactly zero.
     """
     logits, caches = _forward(net, params, masks, batch)
@@ -357,46 +464,42 @@ def backward_pass(
     delta = probs
     delta[np.arange(n), labels] -= 1.0
     delta /= n  # d(mean CE)/d(logits)
-    dx = delta
+    out_keep = caches[net.prunable[-1]].rows  # the logits' channels that were computed
+    dx = delta if out_keep is None else np.take(delta.reshape(n, *net.out_shapes[-1]), out_keep, axis=1)
     while caches:
         cache = caches.pop()  # release each layer's cache once consumed
         li = len(caches)  # one cache per layer, so this is the layer index
         kind = cache[0]
-        if kind == "dense":
-            _, pi, in_shape, x2, wm = cache
-            dy = dx.reshape(n, -1)
-            grads.weights[pi] = dy.T @ x2
+        if kind in PRUNABLE_KINDS:
+            pi, inputs, w = cache.pi, cache.inputs, cache.w
+            f = w.shape[0]
+            if kind == "dense":
+                dy = dx.reshape(n, f)
+            else:
+                _, oh, ow = net.out_shapes[li]
+                dy = dx.reshape(n, f, oh * ow).transpose(0, 2, 1).reshape(n * oh * ow, f)
+                inputs = inputs.reshape(n * oh * ow, inputs.shape[2])
+            if cache.row_mask is not None:
+                dy = dy * cache.row_mask
+            c_in = net.in_shapes[li][0]
+            grads.weights[pi] = _expand_weights(dy.T @ inputs, params.weights[pi].shape, cache.rows, cache.keep, c_in)
             if params.biases[pi] is not None:
-                grads.biases[pi] = dy.sum(axis=0)
+                grads.biases[pi] = _expand(dy.sum(axis=0), cache.rows, params.biases[pi].size, 0)
             if pi == 0:
                 break  # nothing below the first prunable layer needs a gradient
-            dx = (dy @ wm).reshape(in_shape)
-        elif kind == "conv2d":
-            _, pi, in_shape, cols, wm = cache
-            f = wm.shape[0]
-            dy2 = dx.reshape(n, f, -1).transpose(0, 2, 1).reshape(-1, f)  # (B*oh*ow, n_out)
-            grads.weights[pi] = dy2.T @ cols.reshape(-1, cols.shape[-1])
-            if params.biases[pi] is not None:
-                grads.biases[pi] = dy2.sum(axis=0)
-            if pi == 0:
-                break
-            del cache, cols  # free the patch matrix before its gradient is built
-            dx = _col2im(dy2 @ wm, in_shape, net.specs[li], net.out_shapes[li])
+            in_shape, expanded = cache.in_shape, cache.expanded
+            if kind == "dense":
+                dx = (dy @ w).reshape(in_shape)
+            else:
+                del cache, inputs  # free the patch matrix before its gradient is built
+                dx = _col2im(dy @ w, in_shape, net.specs[li], net.out_shapes[li])
+            if expanded is not None:
+                dx = np.take(dx, expanded, axis=1)
         elif kind == "maxpool2d":
-            _, in_shape, idx, arg = cache
-            dyf = dx.reshape(n, -1)
-            rows = np.arange(idx.shape[0])
-            chosen = idx[rows[None, :], arg]  # (B, c*oh*ow) flat input index
-            dxf = np.zeros((n, int(np.prod(in_shape[1:]))))
-            np.add.at(dxf, (np.arange(n)[:, None], chosen), dyf)
-            dx = dxf.reshape(in_shape)
+            _, in_shape, arg = cache
+            dx = _maxpool_backward(dx.reshape(arg.shape), arg, in_shape, net.specs[li], net.out_shapes[li])
         else:  # relu
             dx = dx * cache[1]
-    if masks is not None:
-        for pi, m in enumerate(masks):
-            grads.weights[pi] = grads.weights[pi] * m
-            if grads.biases[pi] is not None:
-                grads.biases[pi] = grads.biases[pi] * m[:, 0]
     return loss, grads
 
 

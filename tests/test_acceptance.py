@@ -93,13 +93,16 @@ def _kink_margin(net, params, masks, x) -> float:
     for cache in caches:
         if cache[0] not in ("dense", "conv2d"):
             continue
-        pi, inputs, wm = cache[1], cache[3], cache[4]
-        z = inputs @ wm.T
-        if params.biases[pi] is not None:
-            z = z + params.biases[pi] * masks[pi][:, 0]
-        active = masks[pi][:, 0].astype(bool)
-        if active.any():
-            margin = min(margin, float(np.abs(z[..., active]).min()))
+        # a layer evaluates either its active rows only (cache.rows) or every
+        # row with its output multiplied by the row mask (cache.row_mask)
+        z = cache.inputs @ cache.w.T
+        bias = params.biases[cache.pi]
+        if bias is not None:
+            z = z + (bias if cache.rows is None else bias[cache.rows])
+        if cache.row_mask is not None:
+            z = z[..., cache.row_mask.astype(bool)]
+        if z.size:
+            margin = min(margin, float(np.abs(z).min()))
     return margin
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spafl import nn
+from spafl import nn, pruning
 from spafl.errors import ConfigurationError, DataError, NumericError
 
 from conftest import all_ones_masks, strided_conv_net, tiny_conv_net, tiny_dense_net
@@ -53,6 +53,16 @@ class TestForward:
         net, params = tiny_dense_net()
         with pytest.raises(ConfigurationError):
             nn.forward_pass(net, params, None, np.zeros((2, 7)))
+
+    def test_mask_shape_mismatch(self, rng):
+        net, params = tiny_dense_net()
+        masks = all_ones_masks(net)
+        masks[1] = np.ones((masks[1].shape[0], masks[1].shape[1] + 1))
+        x = rng.uniform(0, 1, (2, 4))
+        with pytest.raises(ConfigurationError, match="mask shape"):
+            nn.forward_pass(net, params, masks, x)
+        with pytest.raises(ConfigurationError, match="mask shape"):
+            nn.backward_pass(net, params, masks, x, np.array([0, 1]))
 
     def test_pruned_bias_removed(self):
         net = nn.Network((2,), [nn.dense(2)])
@@ -139,8 +149,6 @@ class TestBackward:
         x = rng.uniform(0, 1, (3, *net.input_shape))
         y = rng.integers(0, 3, 3)
         tau = [rng.uniform(0, 0.1, n) for n in net.threshold_sizes]
-        from spafl import pruning
-
         masks = pruning.generate_masks(net, params, tau)
         _, grads = nn.backward_pass(net, params, masks, x, y)
         for pi in range(len(params.weights)):
@@ -178,22 +186,114 @@ class TestBackward:
         got = nn._col2im(dcols, (n, *in_shape), spec, out_shape)
         assert np.allclose(got, ref.reshape(n, *in_shape), rtol=1e-12, atol=1e-12)
 
-    def test_lenet_batch64_peak_memory(self):
-        # tracemalloc peak of one LeNet step at batch 64, numpy 2.4: 38.6 MB.
-        # Keeping every forward cache alive through backprop, or conv2's
-        # patch matrix alive while its input gradient is built, gives 54-55 MB
+    @staticmethod
+    def lenet_batch64_peak(density: float) -> int:
+        """tracemalloc peak of one LeNet backward_pass at batch 64, with
+        every layer at the given row density (None masks at 1.0)."""
         net = nn.build_lenet()
         rng = np.random.default_rng(0)
         params = nn.init_params(net, rng)
+        masks = None
+        if density < 1.0:
+            tau = [np.full(w.shape[0], np.quantile(pruning.row_mean_abs(w), 1.0 - density)) for w in params.weights]
+            masks = pruning.generate_masks(net, params, tau)
+            assert pruning.density_metrics(masks).overall == pytest.approx(density, abs=0.01)
         x = rng.uniform(0, 1, (64, *net.input_shape))
         y = rng.integers(0, 10, 64)
         tracemalloc.start()
         try:
-            nn.backward_pass(net, params, None, x, y)
-            peak = tracemalloc.get_traced_memory()[1]
+            nn.backward_pass(net, params, masks, x, y)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 45e6
+
+    def test_lenet_batch64_peak_memory(self):
+        # 33.1 MB with numpy 2.4. Keeping every forward cache alive through
+        # backprop, or conv2's patch matrix alive while its input gradient is
+        # built, added 16 MB
+        assert self.lenet_batch64_peak(1.0) <= 45e6
+
+    def test_lenet_batch64_peak_memory_half_density(self):
+        # 23.1 MB: layers run over their active rows only, where computing
+        # the pruned rows as zeros peaked at 38.8 MB
+        assert self.lenet_batch64_peak(0.5) <= 30e6
+
+
+def _row_masks(net: nn.Network, rng, dead: int | None = None) -> list[np.ndarray]:
+    """Random {0,1} row masks (about 60% of rows active, at least one per
+    layer); the prunable layer ``dead`` is pruned entirely."""
+    masks = []
+    for pi, li in enumerate(net.prunable):
+        spec = net.specs[li]
+        row = (rng.random(spec.n_out) < 0.6).astype(float)
+        row[rng.integers(spec.n_out)] = 1.0
+        if pi == dead:
+            row[:] = 0.0
+        masks.append(np.repeat(row[:, None], spec.n_in, axis=1))
+    return masks
+
+
+NETS = {"conv": tiny_conv_net, "strided": strided_conv_net, "mlp": lambda: tiny_dense_net(6, 9, 4)}
+
+
+class TestCompaction:
+    """The engine evaluates only active rows; the reference evaluates the
+    masked-dense model: weights w * m and biases b * m[:, 0] on the dense
+    path (masks=None), gradients multiplied by the mask afterwards."""
+
+    @staticmethod
+    def reference(net, params, masks, x, y):
+        masked = nn.NetworkParams(
+            weights=[w * m for w, m in zip(params.weights, masks)],
+            biases=[None if b is None else b * m[:, 0] for b, m in zip(params.biases, masks)],
+        )
+        logits = nn.forward_pass(net, masked, None, x)
+        loss, grads = nn.backward_pass(net, masked, None, x, y)
+        grads.weights = [g * m for g, m in zip(grads.weights, masks)]
+        grads.biases = [None if g is None else g * m[:, 0] for g, m in zip(grads.biases, masks)]
+        return logits, loss, grads
+
+    # batch 1 keeps every dense layer (and the strided net's second conv)
+    # under the compaction cut, so those run at full width with a masked
+    # output; at batch 20 every layer is compacted
+    @pytest.mark.parametrize("batch", [1, 20])
+    @pytest.mark.parametrize("case", ["random", "dead_hidden", "dead_output"])
+    @pytest.mark.parametrize("name", sorted(NETS))
+    def test_matches_masked_dense_reference(self, name, case, batch):
+        assert 1 < nn._COMPACT_MIN_ROWS <= 20
+        net, params = NETS[name]()
+        rng = np.random.default_rng(sum(map(ord, name + case)) + batch)
+        n_prunable = len(net.prunable)
+        dead = {"random": None, "dead_hidden": n_prunable - 2, "dead_output": n_prunable - 1}[case]
+        params.biases = [rng.uniform(-0.2, 0.2, b.shape) for b in params.biases]
+        masks = _row_masks(net, rng, dead)
+        x = rng.uniform(0, 1, (batch, *net.input_shape))
+        y = rng.integers(0, net.output_dim, batch)
+        ref_logits, ref_loss, ref = self.reference(net, params, masks, x, y)
+        logits = nn.forward_pass(net, params, masks, x)
+        loss, grads = nn.backward_pass(net, params, masks, x, y)
+        assert np.allclose(logits, ref_logits, rtol=1e-12, atol=1e-15)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        if dead == n_prunable - 1:
+            assert np.array_equal(logits, np.zeros_like(logits))
+        for pi, m in enumerate(masks):
+            pruned = m[:, 0] == 0.0
+            for g, r in ((grads.weights[pi], ref.weights[pi]), (grads.biases[pi], ref.biases[pi])):
+                assert g.shape == r.shape
+                assert np.allclose(g, r, rtol=1e-12, atol=1e-15)
+                assert np.array_equal(g[pruned], np.zeros_like(g[pruned]))
+
+    @pytest.mark.parametrize("batch", [1, 20])
+    @pytest.mark.parametrize("name", sorted(NETS))
+    def test_all_ones_masks_equal_no_masks(self, name, batch, rng):
+        net, params = NETS[name]()
+        x = rng.uniform(0, 1, (batch, *net.input_shape))
+        y = rng.integers(0, net.output_dim, batch)
+        loss, grads = nn.backward_pass(net, params, None, x, y)
+        loss1, grads1 = nn.backward_pass(net, params, all_ones_masks(net), x, y)
+        assert loss1 == loss
+        for a, b in zip(grads.weights + grads.biases, grads1.weights + grads1.biases):
+            assert np.array_equal(a, b)
 
 
 class TestFiniteDiffOracle:
@@ -300,9 +400,31 @@ class TestMaxpoolTies:
         params = nn.NetworkParams(weights=[np.array([[1.0], [0.0]])], biases=[np.zeros(2)])
         x = np.array([[[[0.7, 0.7], [0.7, 0.7]]]])
         _, caches = nn._forward(net, params, None, x)
-        kind, in_shape, idx, arg = caches[0]
+        kind, in_shape, arg = caches[0]  # arg: per window, the offset ky*kw + kx of its max
         assert kind == "maxpool2d"
-        assert arg[0, 0] == 0
+        assert arg[0, 0, 0, 0] == 0
+
+    @pytest.mark.parametrize("kernel, stride", [((2, 2), 2), ((2, 2), 1), ((3, 2), 2)])
+    def test_matches_window_argmax(self, rng, kernel, stride):
+        # reference: gather every window and take numpy's argmax (first
+        # occurrence); small integers make ties common
+        spec = nn.maxpool2d(kernel, stride)
+        x = rng.integers(0, 3, (2, 3, 7, 6)).astype(float)
+        kh, kw = kernel
+        oh, ow = (7 - kh) // stride + 1, (6 - kw) // stride + 1
+        win = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=(2, 3))[:, :, ::stride, ::stride]
+        win = win.reshape(2, 3, oh, ow, kh * kw)
+        y, arg = nn._maxpool(x, spec, (3, oh, ow))
+        assert np.array_equal(y, win.max(axis=-1))
+        assert np.array_equal(arg, np.argmax(win, axis=-1))
+        dy = rng.standard_normal(y.shape)
+        ref = np.zeros_like(x)
+        for k in range(kh * kw):
+            ky, kx = divmod(k, kw)
+            for (b, c, i, j) in zip(*np.nonzero(arg == k)):
+                ref[b, c, ky + stride * i, kx + stride * j] += dy[b, c, i, j]
+        got = nn._maxpool_backward(dy, arg, x.shape, spec, (3, oh, ow))
+        assert np.allclose(got, ref, rtol=1e-12, atol=0)
 
 
 class TestPresets:
