@@ -42,7 +42,6 @@ from .experiment import (
 from .federation import (
     Channel,
     ClientState,
-    RoundConfig,
     RoundMetrics,
     ServerState,
     Simulation,
@@ -51,7 +50,6 @@ from .federation import (
     evaluate,
     importance_update,
     local_train,
-    run_round,
     sample_clients,
 )
 from .nn import (

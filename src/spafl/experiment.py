@@ -22,12 +22,11 @@ from .errors import ConfigurationError, UsageError
 from .federation import (
     Channel,
     ClientState,
-    RoundConfig,
     ServerState,
     Simulation,
 )
 from .nn import Network, build_cnn7, build_lenet, build_mlp, init_params
-from .strategies import parse_strategy, run_strategy_round
+from .strategies import parse_strategy, run_strategy_round, snapshot_view
 
 
 @dataclass
@@ -190,9 +189,11 @@ def build_network(cfg: ExperimentConfig, dataset: Dataset) -> Network:
 
 
 def build_simulation(cfg: ExperimentConfig) -> Simulation:
-    """Assemble dataset, partition, identically initialized clients and the
-    server. The partition and the initial model depend only on the seed (not
-    the strategy), so strategies compare on identical footing."""
+    """Validate the config, then assemble dataset, partition, identically
+    initialized clients and the server. The partition and the initial model
+    depend only on the seed (not the strategy), so strategies compare on
+    identical footing."""
+    _validate(cfg)
     rngs = _seeds(cfg.seed)
     dataset = build_dataset(cfg)
     net = build_network(cfg, dataset)
@@ -225,25 +226,12 @@ def build_simulation(cfg: ExperimentConfig) -> Simulation:
         rng=rngs["sampling"],
         global_params=init.copy(),
     )
-    round_cfg = RoundConfig(
-        n_clients=cfg.clients,
-        clients_per_round=cfg.clients_per_round,
-        local_epochs=cfg.epochs,
-        lr=cfg.lr,
-        alpha=cfg.alpha,
-        momentum=cfg.momentum,
-        batch_size=cfg.batch_size,
-        lr_decay=cfg.lr_decay,
-        strategy=cfg.strategy,
-        seed=cfg.seed,
-        workers=cfg.workers,
-    )
     return Simulation(
         net=net,
         dataset=dataset,
         clients=clients,
         server=server,
-        config=round_cfg,
+        config=cfg,
         channel=Channel(),
         ledger=CostLedger(),
     )
@@ -313,7 +301,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
                 )
             )
         if cfg.dump_masks_every > 0 and (t + 1) % cfg.dump_masks_every == 0:
-            tau = sim.server.tau_current if cfg.strategy != "local_only" else sim.clients[0].tau
+            tau, _ = snapshot_view(sim, sim.clients[0])
+            if tau is None:  # the dense model prunes no row
+                tau = pruning.init_thresholds(sim.net)
             for layer in range(len(sim.net.prunable)):
                 dump_sparsity_pattern(sim.net, sim.clients[0], tau, layer, t, out_dir)
 

@@ -1,25 +1,27 @@
-"""Round orchestration: client sampling, local training of weights and
-thresholds, threshold-only aggregation, and the importance-driven parameter
-update derived from consecutive global thresholds.
+"""Round building blocks: client and server state, the instrumented
+channel, client sampling, local training of weights and thresholds,
+threshold aggregation, the importance-driven parameter update derived from
+consecutive global thresholds, evaluation and the round-end snapshot.
 
-Parameters never leave a client in threshold-exchange mode; the only objects
-crossing the client/server boundary are threshold vectors (and their
-consecutive-round delta, which rides along at zero wire cost because it is
-reconstructible from the broadcast history). Every transfer goes through an
-instrumented :class:`Channel` so tests can audit both the types and the bit
-counts of a round.
+The round itself is one skeleton in :mod:`spafl.strategies`, which composes
+these pieces per strategy. Parameters never leave a client in
+threshold-exchange mode; the only objects crossing the client/server
+boundary are threshold vectors (and their consecutive-round delta, which
+rides along at zero wire cost because it is reconstructible from the
+broadcast history). Every transfer goes through an instrumented
+:class:`Channel` so tests can audit both the types and the bit counts of a
+round.
 """
 
 from __future__ import annotations
 
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import pruning
-from .accounting import BITS_PER_SCALAR, CostLedger, epoch_flops, importance_update_flops
+from .accounting import BITS_PER_SCALAR, CostLedger, epoch_flops
 from .data import Dataset
 from .errors import ConfigurationError, DataError, ProtocolError
 from .nn import (
@@ -30,6 +32,9 @@ from .nn import (
     forward_pass,
     sgd_momentum_step,
 )
+
+if TYPE_CHECKING:
+    from .experiment import ExperimentConfig
 
 
 @dataclass
@@ -55,38 +60,6 @@ class ServerState:
     round_index: int
     rng: np.random.Generator
     global_params: NetworkParams | None = None  # dense-baseline aggregate
-
-
-@dataclass
-class RoundConfig:
-    n_clients: int
-    clients_per_round: int
-    local_epochs: int
-    lr: float
-    alpha: float
-    momentum: float = 0.9
-    batch_size: int = 32
-    lr_decay: float = 1.0
-    strategy: str = "spafl"
-    seed: int = 0
-    workers: int = 1
-
-    def __post_init__(self):
-        if not 1 <= self.clients_per_round <= self.n_clients:
-            raise ConfigurationError(
-                f"K <= N required: clients_per_round={self.clients_per_round}, n_clients={self.n_clients}"
-            )
-        if self.local_epochs < 1:
-            raise ConfigurationError("local_epochs must be >= 1")
-        if self.lr < 0:
-            raise ConfigurationError("lr must be >= 0")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigurationError("alpha must lie in [0, 1]")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-
-    def lr_at(self, round_index: int) -> float:
-        return self.lr * self.lr_decay**round_index
 
 
 @dataclass(frozen=True)
@@ -214,8 +187,7 @@ def local_train(
     batch_size: int,
     rng: np.random.Generator,
     update_params: bool = True,
-    update_thresholds: bool = True,
-    use_mask: bool = True,
+    masked: bool = True,
 ) -> tuple[list[np.ndarray], int]:
     """Run local epochs of joint weight/threshold SGD; returns (tau, flops).
 
@@ -225,13 +197,16 @@ def local_train(
     The threshold gradient uses the weights the batch gradient was evaluated
     at. Only the final threshold vector leaves this function; the client's
     parameters and momentum are mutated in place.
+
+    ``masked=False`` trains the dense model and leaves the thresholds as
+    they start; ``update_params=False`` freezes the parameters.
     """
     if client.train_idx.size == 0:
         raise DataError(f"client {client.client_id} has no training samples")
     tau = [t.copy() for t in tau_start]
     flops = 0
     for _ in range(epochs):
-        if use_mask:
+        if masked:
             masks = pruning.generate_masks(net, client.params, tau)
             report = pruning.density_metrics(masks)
             if any(rho < pruning.RESET_DENSITY for rho in report.per_layer):
@@ -249,12 +224,12 @@ def local_train(
             xb = dataset.samples[idx]
             yb = dataset.labels[idx]
             _, grads = backward_pass(net, client.params, masks, xb, yb)
-            if update_thresholds:
+            if masked:
                 h = pruning.threshold_gradient(grads, client.params, masks)
             if update_params:
                 sgd_momentum_step(client.params, grads, client.velocity, lr, momentum)
                 clamp_parameters(client.params)
-            if update_thresholds:
+            if masked:
                 tau = pruning.threshold_step(tau, h, lr, alpha)
     client.tau = [t.copy() for t in tau]
     return tau, flops
@@ -264,19 +239,19 @@ def evaluate(
     net: Network,
     dataset: Dataset,
     client: ClientState,
-    tau: list[np.ndarray] | None,
+    masks: list[np.ndarray] | None,
     params: NetworkParams | None = None,
 ) -> float | None:
     """Argmax accuracy of the (masked) model on the client's test split.
 
-    ``tau=None`` evaluates the dense model; ``params`` overrides the client's
-    own parameters (used by the dense baseline's shared model). Returns None
-    for an empty test split so the caller can exclude the client.
+    ``masks=None`` evaluates the dense model; ``params`` overrides the
+    client's own parameters (used by the dense baseline's shared model).
+    Returns None for an empty test split so the caller can exclude the
+    client.
     """
     if client.test_idx.size == 0:
         return None
     params = client.params if params is None else params
-    masks = None if tau is None else pruning.generate_masks(net, params, tau)
     logits = forward_pass(net, params, masks, dataset.samples[client.test_idx])
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == dataset.labels[client.test_idx]))
@@ -303,7 +278,7 @@ class Simulation:
     dataset: Dataset
     clients: list[ClientState]
     server: ServerState
-    config: RoundConfig
+    config: ExperimentConfig
     channel: Channel
     ledger: CostLedger
     history: list[RoundMetrics] = field(default_factory=list)
@@ -314,30 +289,34 @@ def client_rng(seed: int, round_index: int, client_id: int) -> np.random.Generat
     return np.random.default_rng(np.random.SeedSequence([seed, round_index + 1, client_id]))
 
 
-def _density_snapshot(sim: Simulation, tau_of) -> tuple[list[float], float]:
-    """Mean per-layer and overall density across clients under tau_of(client)."""
+# client -> (thresholds, params) the round-end snapshot masks and evaluates
+# it with; thresholds None is the dense model
+SnapshotView = Callable[[ClientState], tuple[list[np.ndarray] | None, NetworkParams]]
+
+
+def _snapshot(sim: Simulation, view: SnapshotView, do_eval: bool):
+    """Mean per-layer and overall density across clients, and on an eval
+    round the accuracy of every client with a test split, under view(client).
+    Each client's masks are built once and serve both."""
     per_layer = np.zeros(len(sim.net.prunable))
     overall = 0.0
+    accs = [] if do_eval else None
     for client in sim.clients:
-        tau = tau_of(client)
+        tau, params = view(client)
         if tau is None:
+            masks = None
             report = pruning.DensityReport(per_layer=[1.0] * len(sim.net.prunable), overall=1.0)
         else:
-            report = pruning.density_metrics(pruning.generate_masks(sim.net, client.params, tau))
+            masks = pruning.generate_masks(sim.net, params, tau)
+            report = pruning.density_metrics(masks)
         per_layer += np.asarray(report.per_layer)
         overall += report.overall
+        if do_eval:
+            acc = evaluate(sim.net, sim.dataset, client, masks, params=params)
+            if acc is not None:
+                accs.append(acc)
     n = len(sim.clients)
-    return list(per_layer / n), overall / n
-
-
-def _accuracy_snapshot(sim: Simulation, tau_of, params_of=None) -> list[float]:
-    accs = []
-    for client in sim.clients:
-        params = None if params_of is None else params_of(client)
-        acc = evaluate(sim.net, sim.dataset, client, tau_of(client), params=params)
-        if acc is not None:
-            accs.append(acc)
-    return accs
+    return list(per_layer / n), overall / n, accs
 
 
 def _finish_round(
@@ -346,14 +325,12 @@ def _finish_round(
     flops: int,
     transfers_before: int,
     do_eval: bool,
-    tau_of,
-    params_of=None,
+    view: SnapshotView,
 ) -> RoundMetrics:
     bits_up = sim.channel.bits("uplink", since=transfers_before)
     bits_down = sim.channel.bits("downlink", since=transfers_before)
     sim.ledger.add_round(round_index, bits_up=bits_up, bits_down=bits_down, flops=flops)
-    per_layer, overall = _density_snapshot(sim, tau_of)
-    accs = _accuracy_snapshot(sim, tau_of, params_of) if do_eval else None
+    per_layer, overall, accs = _snapshot(sim, view, do_eval)
     metrics = RoundMetrics(
         round_index=round_index,
         mean_accuracy=float(np.mean(accs)) if accs else None,
@@ -365,97 +342,4 @@ def _finish_round(
         accuracies=accs,
     )
     sim.history.append(metrics)
-    return metrics
-
-
-def run_round(
-    sim: Simulation,
-    round_index: int,
-    *,
-    do_eval: bool = False,
-    use_importance: bool = True,
-    update_params: bool = True,
-) -> RoundMetrics:
-    """One threshold-exchange round.
-
-    Sample K clients; broadcast the global thresholds (with the previous
-    round's delta riding along); each sampled client applies the importance
-    update, trains locally and uploads its threshold vector; the server
-    stores the equal-weight mean as the next global thresholds.
-
-    ``use_importance=False`` skips the importance update (ablation);
-    ``update_params=False`` freezes parameters (thresholds-only mode, which
-    also never applies the importance update).
-    """
-    cfg = sim.config
-    before = len(sim.channel.transfers)
-    ids = sample_clients(cfg.n_clients, cfg.clients_per_round, sim.server.rng)
-    delta = compute_delta_tau(sim.server)
-    lr = cfg.lr_at(round_index)
-    apply_importance = use_importance and update_params
-
-    jobs = []
-    skipped: list[int] = []
-    for cid in ids:
-        client = sim.clients[cid]
-        if client.train_idx.size == 0:
-            warnings.warn(f"client {cid} has no training data; skipped this round", stacklevel=2)
-            skipped.append(cid)
-            continue
-        tau_recv = sim.channel.downlink(round_index, "thresholds", sim.server.tau_current)
-        delta_recv = (
-            sim.channel.downlink(round_index, "threshold_delta", delta) if apply_importance else None
-        )
-        jobs.append((cid, client, tau_recv, delta_recv))
-
-    flops = 0
-
-    def train_one(job):
-        cid, client, tau_recv, delta_recv = job
-        spent = 0
-        if apply_importance:
-            importance_update(client.params, delta_recv)
-            spent += importance_update_flops(sim.net.param_count)
-        tau_k, train_flops = local_train(
-            sim.net,
-            sim.dataset,
-            client,
-            tau_recv,
-            epochs=cfg.local_epochs,
-            lr=lr,
-            alpha=cfg.alpha,
-            momentum=cfg.momentum,
-            batch_size=cfg.batch_size,
-            rng=client_rng(cfg.seed, round_index, cid),
-            update_params=update_params,
-            update_thresholds=True,
-        )
-        return cid, tau_k, spent + train_flops
-
-    if cfg.workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(train_one, jobs))
-    else:
-        results = [train_one(job) for job in jobs]
-
-    uploads = []
-    for cid, tau_k, spent in sorted(results):  # id-sorted: aggregation is order-free
-        uploads.append(sim.channel.uplink(round_index, "thresholds", tau_k))
-        flops += spent
-
-    if uploads:
-        new_tau = aggregate_thresholds(uploads)
-        sim.server.tau_previous = sim.server.tau_current
-        sim.server.tau_current = new_tau
-    sim.server.round_index = round_index + 1
-
-    metrics = _finish_round(
-        sim,
-        round_index,
-        flops,
-        before,
-        do_eval,
-        tau_of=lambda c: sim.server.tau_current,
-    )
-    metrics.skipped_clients = skipped
     return metrics

@@ -1,22 +1,33 @@
-"""Training strategies sharing one engine: the threshold-exchange protocol,
-its two ablations, the dense parameter-averaging baseline, and a
-communication-free local baseline."""
+"""Training strategies sharing one engine and one round: the
+threshold-exchange protocol, its two ablations, the dense
+parameter-averaging baseline, and a communication-free local baseline.
+
+Every strategy plays the same round skeleton, :func:`run_strategy_round`.
+The strategies differ only in what crosses the channel, what trains and
+whether the importance update runs, and :data:`STRATEGIES` holds one row of
+those choices per strategy.
+"""
 
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import federation
+from .accounting import importance_update_flops
 from .errors import ConfigurationError, ProtocolError
 from .federation import (
+    ClientState,
     RoundMetrics,
     Simulation,
     _finish_round,
     client_rng,
+    compute_delta_tau,
     local_train,
-    run_round,
     sample_clients,
 )
 from .nn import NetworkParams
@@ -62,30 +73,68 @@ def aggregate_params(params_list: list[NetworkParams]) -> NetworkParams:
     return out
 
 
-def run_spafl_round(sim: Simulation, round_index: int, do_eval: bool = False) -> RoundMetrics:
-    return run_round(sim, round_index, do_eval=do_eval, use_importance=True, update_params=True)
+@dataclass(frozen=True)
+class StrategySpec:
+    """One strategy's choices within the shared round.
+
+    ``exchange`` is what crosses the channel, both ways, and is aggregated:
+    ``"thresholds"`` (the global thresholds down, plus their delta when the
+    importance update runs; each client's thresholds up, averaged by
+    ``aggregate_thresholds``), ``"params"`` (the global model down, each
+    client's parameters up, averaged by ``aggregate_params``) or None.
+    ``view`` is what the round-end snapshot masks and evaluates each client
+    with: the ``"global"`` thresholds, the client's ``"own"`` thresholds, or
+    the ``"dense"`` global model.
+    """
+
+    exchange: str | None
+    train_weights: bool
+    masked: bool  # thresholds train and the mask applies
+    importance: bool
+    view: str
 
 
-def run_spafl_no_importance_round(sim: Simulation, round_index: int, do_eval: bool = False) -> RoundMetrics:
-    """Full threshold-exchange round with the importance update disabled."""
-    return run_round(sim, round_index, do_eval=do_eval, use_importance=False, update_params=True)
+# columns: exchange, train_weights, masked, importance, view
+STRATEGIES: dict[StrategyId, StrategySpec] = {
+    StrategyId.SPAFL: StrategySpec("thresholds", True, True, True, "global"),
+    StrategyId.SPAFL_NO_IMPORTANCE: StrategySpec("thresholds", True, True, False, "global"),
+    # weights stay frozen at initialization, bit-exactly
+    StrategyId.THRESHOLDS_ONLY: StrategySpec("thresholds", False, True, False, "global"),
+    StrategyId.FEDAVG: StrategySpec("params", True, False, False, "dense"),
+    # sampled on the same K-per-round schedule, so training volume compares
+    StrategyId.LOCAL_ONLY: StrategySpec(None, True, True, False, "own"),
+}
 
 
-def run_thresholds_only_round(sim: Simulation, round_index: int, do_eval: bool = False) -> RoundMetrics:
-    """Thresholds are trained and exchanged while parameters stay frozen at
-    initialization (bit-exactly); the importance update is disabled too."""
-    return run_round(sim, round_index, do_eval=do_eval, use_importance=False, update_params=False)
+def snapshot_view(
+    sim: Simulation, client: ClientState
+) -> tuple[list[np.ndarray] | None, NetworkParams]:
+    """The thresholds (None: the dense model) and the parameters the
+    configured strategy's round-end snapshot evaluates ``client`` with."""
+    view = STRATEGIES[parse_strategy(sim.config.strategy)].view
+    if view == "dense":
+        return None, sim.server.global_params
+    return (sim.server.tau_current if view == "global" else client.tau), client.params
 
 
-def run_fedavg_round(sim: Simulation, round_index: int, do_eval: bool = False) -> RoundMetrics:
-    """Dense baseline: sampled clients pull the global model, train unmasked,
-    and push full parameters back for an equal-weight average."""
+def run_strategy_round(sim: Simulation, round_index: int, do_eval: bool = False) -> RoundMetrics:
+    """One round of the configured strategy.
+
+    Sample K clients; skip (with a warning) a sampled client without
+    training data; send down to the others in id order; train them, on
+    ``sim.config.workers`` threads; send up in id order and aggregate; then
+    record the round. Each client trains from its own RNG stream, so the
+    worker count never changes results.
+    """
+    spec = STRATEGIES[parse_strategy(sim.config.strategy)]
     cfg = sim.config
-    if sim.server.global_params is None:
+    server = sim.server
+    if spec.exchange == "params" and server.global_params is None:
         raise ConfigurationError("fedavg needs server.global_params initialized")
     before = len(sim.channel.transfers)
-    ids = sample_clients(cfg.n_clients, cfg.clients_per_round, sim.server.rng)
-    lr = cfg.lr_at(round_index)
+    ids = sample_clients(cfg.clients, cfg.clients_per_round, server.rng)
+    delta = compute_delta_tau(server) if spec.importance else None
+    lr = cfg.lr * cfg.lr_decay**round_index
 
     jobs = []
     skipped: list[int] = []
@@ -95,107 +144,61 @@ def run_fedavg_round(sim: Simulation, round_index: int, do_eval: bool = False) -
             warnings.warn(f"client {cid} has no training data; skipped this round", stacklevel=2)
             skipped.append(cid)
             continue
-        client.params = sim.channel.downlink(round_index, "params", sim.server.global_params)
-        jobs.append((cid, client))
+        tau_start, delta_recv = client.tau, None
+        if spec.exchange == "thresholds":
+            tau_start = sim.channel.downlink(round_index, "thresholds", server.tau_current)
+            if spec.importance:
+                delta_recv = sim.channel.downlink(round_index, "threshold_delta", delta)
+        elif spec.exchange == "params":
+            client.params = sim.channel.downlink(round_index, "params", server.global_params)
+        jobs.append((cid, client, tau_start, delta_recv))
 
-    flops = 0
-    results = []
-    for cid, client in jobs:
-        _, train_flops = local_train(
+    def train_one(job):
+        cid, client, tau_start, delta_recv = job
+        spent = 0
+        if delta_recv is not None:
+            federation.importance_update(client.params, delta_recv)
+            spent += importance_update_flops(sim.net.param_count)
+        tau_k, train_flops = local_train(
             sim.net,
             sim.dataset,
             client,
-            client.tau,
-            epochs=cfg.local_epochs,
+            tau_start,
+            epochs=cfg.epochs,
             lr=lr,
             alpha=cfg.alpha,
             momentum=cfg.momentum,
             batch_size=cfg.batch_size,
             rng=client_rng(cfg.seed, round_index, cid),
-            update_params=True,
-            update_thresholds=False,
-            use_mask=False,
+            update_params=spec.train_weights,
+            masked=spec.masked,
         )
-        results.append((cid, train_flops))
-        flops += train_flops
+        return client, tau_k, spent + train_flops
 
-    uploads = [
-        sim.channel.uplink(round_index, "params", sim.clients[cid].params)
-        for cid, _ in sorted(results)
-    ]
-    if uploads:
-        sim.server.global_params = aggregate_params(uploads)
-    sim.server.round_index = round_index + 1
+    if cfg.workers > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            results = list(pool.map(train_one, jobs))
+    else:
+        results = [train_one(job) for job in jobs]
 
-    metrics = _finish_round(
-        sim,
-        round_index,
-        flops,
-        before,
-        do_eval,
-        tau_of=lambda c: None,  # dense: density 1, no mask at evaluation
-        params_of=lambda c: sim.server.global_params,
-    )
-    metrics.skipped_clients = skipped
-    return metrics
-
-
-def run_local_round(sim: Simulation, round_index: int, do_eval: bool = False) -> RoundMetrics:
-    """Communication-free baseline: sampled clients train their own weights
-    and their own private thresholds; nothing is ever aggregated.
-
-    Sampling follows the same K-per-round schedule as the exchanging
-    strategies, so the per-client training volume is comparable."""
-    cfg = sim.config
-    before = len(sim.channel.transfers)
-    ids = sample_clients(cfg.n_clients, cfg.clients_per_round, sim.server.rng)
-    lr = cfg.lr_at(round_index)
     flops = 0
-    skipped: list[int] = []
-    for cid in ids:
-        client = sim.clients[cid]
-        if client.train_idx.size == 0:
-            warnings.warn(f"client {cid} has no training data; skipped this round", stacklevel=2)
-            skipped.append(cid)
-            continue
-        _, train_flops = local_train(
-            sim.net,
-            sim.dataset,
-            client,
-            client.tau,
-            epochs=cfg.local_epochs,
-            lr=lr,
-            alpha=cfg.alpha,
-            momentum=cfg.momentum,
-            batch_size=cfg.batch_size,
-            rng=client_rng(cfg.seed, round_index, cid),
-            update_params=True,
-            update_thresholds=True,
-        )
-        flops += train_flops
-    sim.server.round_index = round_index + 1
+    uploads = []
+    for client, tau_k, spent in results:  # map keeps the jobs' id order
+        flops += spent
+        if spec.exchange == "thresholds":
+            uploads.append(sim.channel.uplink(round_index, "thresholds", tau_k))
+        elif spec.exchange == "params":
+            uploads.append(sim.channel.uplink(round_index, "params", client.params))
+
+    if uploads and spec.exchange == "thresholds":
+        server.tau_previous = server.tau_current
+        server.tau_current = federation.aggregate_thresholds(uploads)
+    elif uploads:
+        server.global_params = aggregate_params(uploads)
+    server.round_index = round_index + 1
 
     metrics = _finish_round(
-        sim,
-        round_index,
-        flops,
-        before,
-        do_eval,
-        tau_of=lambda c: c.tau,
+        sim, round_index, flops, before, do_eval, view=lambda c: snapshot_view(sim, c)
     )
     metrics.skipped_clients = skipped
     return metrics
-
-
-ROUND_RUNNERS = {
-    StrategyId.SPAFL: run_spafl_round,
-    StrategyId.SPAFL_NO_IMPORTANCE: run_spafl_no_importance_round,
-    StrategyId.THRESHOLDS_ONLY: run_thresholds_only_round,
-    StrategyId.FEDAVG: run_fedavg_round,
-    StrategyId.LOCAL_ONLY: run_local_round,
-}
-
-
-def run_strategy_round(sim: Simulation, round_index: int, do_eval: bool = False) -> RoundMetrics:
-    strategy = parse_strategy(sim.config.strategy)
-    return ROUND_RUNNERS[strategy](sim, round_index, do_eval=do_eval)

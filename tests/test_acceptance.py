@@ -17,11 +17,7 @@ from spafl import federation as fed
 from spafl import nn, pruning
 from spafl.data import dirichlet_partition, synth_dataset
 from spafl.experiment import ExperimentConfig, build_simulation, run_experiment
-from spafl.strategies import (
-    run_fedavg_round,
-    run_local_round,
-    run_strategy_round,
-)
+from spafl.strategies import run_strategy_round
 
 from conftest import record_criterion
 
@@ -210,7 +206,7 @@ def test_criterion_4_channel_discipline():
 
     sim = small_sim("spafl")
     for t in range(rounds):
-        fed.run_round(sim, t)
+        run_strategy_round(sim, t)
     tau_num = acc.threshold_count(sim.net)
     k = sim.config.clients_per_round
     ok &= sim.channel.scalars("thresholds") == rounds * 2 * k * tau_num
@@ -220,7 +216,7 @@ def test_criterion_4_channel_discipline():
 
     sim = small_sim("fedavg")
     for t in range(rounds):
-        run_fedavg_round(sim, t)
+        run_strategy_round(sim, t)
     d = sim.net.param_count
     ok &= sim.channel.scalars() == rounds * 2 * k * d
     ok &= sim.channel.kinds() == {"params"}
@@ -229,7 +225,7 @@ def test_criterion_4_channel_discipline():
 
     sim = small_sim("local_only")
     for t in range(rounds):
-        run_local_round(sim, t)
+        run_strategy_round(sim, t)
     ok &= len(sim.channel.transfers) == 0
     ok &= sim.channel.bits() == 0 and sim.ledger.total_bits == 0
 
@@ -278,7 +274,7 @@ def test_criterion_7_property_suites():
     # mask row-constancy across live training rounds
     sim = small_sim("spafl", alpha=0.01)
     for t in range(3):
-        fed.run_round(sim, t)
+        run_strategy_round(sim, t)
         for client in sim.clients:
             masks = pruning.generate_masks(sim.net, client.params, sim.server.tau_current)
             ok &= all(bool(np.all(m == m[:, :1])) for m in masks)

@@ -73,6 +73,16 @@ class TestParseConfig:
             parse_config(None, {"dataset": "idx"})
 
 
+@pytest.mark.parametrize(
+    "fields", [dict(momentum=1.0), dict(clients=3, clients_per_round=5)], ids=["momentum", "k_gt_n"]
+)
+def test_build_simulation_validates_config(fields):
+    # the library path (ExperimentConfig, then build_simulation) skips
+    # parse_config, so build_simulation must run the same checks
+    with pytest.raises(UsageError):
+        build_simulation(ExperimentConfig(**fields))
+
+
 class TestRunExperiment:
     def test_zero_rounds_headers_only(self, tmp_path):
         cfg = ExperimentConfig(**{**SMALL_RUN, "rounds": 0, "out_dir": str(tmp_path)})

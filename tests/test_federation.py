@@ -306,7 +306,7 @@ class TestEvaluate:
             client_id=0, params=params, velocity=params.zeros_like(),
             tau=[np.zeros(3)], train_idx=np.array([0]), test_idx=np.arange(5),
         )
-        assert fed.evaluate(net, ds, client, tau=None) == 1.0
+        assert fed.evaluate(net, ds, client, masks=None) == 1.0
 
     def test_chance_level_random_model(self):
         ds = synth_dataset(4, 10, 500, 0.5, seed=8)
@@ -317,7 +317,7 @@ class TestEvaluate:
             tau=pruning.init_thresholds(net), train_idx=np.array([0]),
             test_idx=np.arange(ds.n),
         )
-        acc_val = fed.evaluate(net, ds, client, tau=None)
+        acc_val = fed.evaluate(net, ds, client, masks=None)
         # 2000 balanced samples: chance 0.25 +- 4 sigma(binomial) ~ 0.039
         assert abs(acc_val - 0.25) < 0.08
 
@@ -330,7 +330,7 @@ class TestEvaluate:
             tau=pruning.init_thresholds(net), train_idx=np.arange(5),
             test_idx=np.array([], dtype=int),
         )
-        assert fed.evaluate(net, ds, client, tau=None) is None
+        assert fed.evaluate(net, ds, client, masks=None) is None
 
     def test_all_pruned_predicts_from_constant_bias(self):
         net = nn.Network((2,), [nn.dense(3)])
@@ -344,7 +344,8 @@ class TestEvaluate:
             tau=[np.ones(3)], train_idx=np.array([0]), test_idx=np.arange(10),
         )
         # all rows pruned -> logits all zero -> argmax picks class 0 everywhere
-        assert fed.evaluate(net, ds, client, tau=[np.ones(3)]) == 1.0
+        masks = pruning.generate_masks(net, params, [np.ones(3)])
+        assert fed.evaluate(net, ds, client, masks=masks) == 1.0
 
 
 def build_sim(**kw) -> fed.Simulation:
@@ -360,7 +361,7 @@ def build_sim(**kw) -> fed.Simulation:
 class TestRunRound:
     def test_k1_aggregation_is_identity(self):
         sim = build_sim(clients_per_round=1)
-        fed.run_round(sim, 0)
+        run_strategy_round(sim, 0)
         # with one sampled client the new global equals that client's result
         sampled = [t for t in sim.channel.transfers if t.direction == "uplink"]
         assert len(sampled) == 1
@@ -369,14 +370,14 @@ class TestRunRound:
         sim = build_sim(lr=0.0, alpha=0.0)
         before = [t.copy() for t in sim.server.tau_current]
         for t in range(3):
-            fed.run_round(sim, t)
+            run_strategy_round(sim, t)
         for a, b in zip(sim.server.tau_current, before):
             assert np.array_equal(a, b)
 
     def test_channel_discipline_and_bits(self):
         sim = build_sim()
         for t in range(4):
-            fed.run_round(sim, t)
+            run_strategy_round(sim, t)
         tau_num = acc.threshold_count(sim.net)
         k = sim.config.clients_per_round
         assert sim.channel.kinds() <= {"thresholds", "threshold_delta"}
@@ -386,7 +387,7 @@ class TestRunRound:
 
     def test_personalization_no_parameter_sync(self):
         sim = build_sim(clients_per_round=6)  # everyone trains in round 1
-        fed.run_round(sim, 0)
+        run_strategy_round(sim, 0)
         hashes = {w.tobytes() for w in (c.params.weights[0] for c in sim.clients)}
         assert len(hashes) > 1
 
@@ -395,17 +396,20 @@ class TestRunRound:
             sim = build_sim()
             out = []
             for t in range(4):
-                m = fed.run_round(sim, t, do_eval=(t == 3))
+                m = run_strategy_round(sim, t, do_eval=(t == 3))
                 out.append((m.mean_accuracy, m.overall_density, m.cum_comm_bits, m.cum_flops))
             return out
 
         assert run_once() == run_once()
 
-    def test_worker_count_does_not_change_results(self):
+    @pytest.mark.parametrize(
+        "strategy", ["spafl", "spafl_no_importance", "thresholds_only", "fedavg", "local_only"]
+    )
+    def test_worker_count_does_not_change_results(self, strategy):
         def run_with(workers):
-            sim = build_sim(workers=workers)
+            sim = build_sim(strategy=strategy, workers=workers)
             for t in range(3):
-                m = fed.run_round(sim, t, do_eval=(t == 2))
+                m = run_strategy_round(sim, t, do_eval=(t == 2))
             return (
                 m.mean_accuracy,
                 [t.copy() for t in sim.server.tau_current],
@@ -422,6 +426,6 @@ class TestRunRound:
 
     def test_flops_accumulate(self):
         sim = build_sim()
-        m0 = fed.run_round(sim, 0)
-        m1 = fed.run_round(sim, 1)
+        m0 = run_strategy_round(sim, 0)
+        m1 = run_strategy_round(sim, 1)
         assert 0 < m0.cum_flops < m1.cum_flops

@@ -14,12 +14,7 @@ from spafl.strategies import (
     StrategyId,
     aggregate_params,
     parse_strategy,
-    run_fedavg_round,
-    run_local_round,
-    run_spafl_no_importance_round,
-    run_spafl_round,
     run_strategy_round,
-    run_thresholds_only_round,
 )
 
 
@@ -72,13 +67,13 @@ class TestFedavg:
     def test_lr_zero_keeps_global_params(self):
         sim = build_sim(strategy="fedavg", lr=0.0, clients_per_round=1)
         before = weights_digest(sim.server.global_params)
-        run_fedavg_round(sim, 0)
+        run_strategy_round(sim, 0)
         assert weights_digest(sim.server.global_params) == before
 
     def test_channel_carries_only_params_at_2kd(self):
         sim = build_sim(strategy="fedavg")
         for t in range(3):
-            run_fedavg_round(sim, t)
+            run_strategy_round(sim, t)
         d = sim.net.param_count
         k = sim.config.clients_per_round
         assert sim.channel.kinds() == {"params"}
@@ -87,13 +82,13 @@ class TestFedavg:
 
     def test_dense_density_reported(self):
         sim = build_sim(strategy="fedavg")
-        m = run_fedavg_round(sim, 0, do_eval=True)
+        m = run_strategy_round(sim, 0, do_eval=True)
         assert m.overall_density == 1.0
         assert m.mean_accuracy is not None
 
     def test_aggregate_is_mean_of_returned_models(self):
         sim = build_sim(strategy="fedavg", clients_per_round=2, epochs=1)
-        run_fedavg_round(sim, 0)
+        run_strategy_round(sim, 0)
         ups = [t for t in sim.channel.transfers if t.direction == "uplink"]
         assert len(ups) == 2
 
@@ -102,7 +97,7 @@ class TestLocalOnly:
     def test_zero_bits_forever(self):
         sim = build_sim(strategy="local_only")
         for t in range(4):
-            m = run_local_round(sim, t)
+            m = run_strategy_round(sim, t)
         assert sim.channel.bits() == 0
         assert len(sim.channel.transfers) == 0
         assert m.cum_comm_bits == 0
@@ -110,24 +105,24 @@ class TestLocalOnly:
     def test_thresholds_diverge_on_heterogeneous_data(self):
         sim = build_sim(strategy="local_only", dirichlet_beta=0.1)
         for t in range(2):
-            run_local_round(sim, t)
+            run_strategy_round(sim, t)
         digests = {b"".join(x.tobytes() for x in c.tau) for c in sim.clients}
         assert len(digests) > 1
 
     def test_sampled_clients_train_others_idle(self):
         sim = build_sim(strategy="local_only", clients_per_round=3)
-        ids = fed.sample_clients(sim.config.n_clients, 3, np.random.default_rng())
+        ids = fed.sample_clients(sim.config.clients, 3, np.random.default_rng())
         before = [weights_digest(c.params) for c in sim.clients]
-        run_local_round(sim, 0)
+        run_strategy_round(sim, 0)
         after = [weights_digest(c.params) for c in sim.clients]
         changed = [i for i, (a, b) in enumerate(zip(after, before)) if a != b]
         assert len(changed) == 3
 
     def test_private_thresholds_persist_across_rounds(self):
         sim = build_sim(strategy="local_only", clients_per_round=6, alpha=0.01)
-        run_local_round(sim, 0)
+        run_strategy_round(sim, 0)
         taus = [b"".join(x.tobytes() for x in c.tau) for c in sim.clients]
-        run_local_round(sim, 1)
+        run_strategy_round(sim, 1)
         taus2 = [b"".join(x.tobytes() for x in c.tau) for c in sim.clients]
         assert taus != taus2  # training continues from each client's own tau
 
@@ -138,18 +133,18 @@ class TestThresholdsOnly:
         before = [weights_digest(c.params) for c in sim.clients]
         vel_before = [b"".join(v.tobytes() for v in c.velocity.weights) for c in sim.clients]
         for t in range(4):
-            run_thresholds_only_round(sim, t)
+            run_strategy_round(sim, t)
         assert [weights_digest(c.params) for c in sim.clients] == before
         assert [b"".join(v.tobytes() for v in c.velocity.weights) for c in sim.clients] == vel_before
 
     def test_thresholds_still_move_with_alpha(self):
         sim = build_sim(strategy="thresholds_only", alpha=0.01)
-        run_thresholds_only_round(sim, 0)
+        run_strategy_round(sim, 0)
         assert any(np.any(t > 0) for t in sim.server.tau_current)
 
     def test_channel_carries_thresholds_only(self):
         sim = build_sim(strategy="thresholds_only")
-        run_thresholds_only_round(sim, 0)
+        run_strategy_round(sim, 0)
         assert sim.channel.kinds() == {"thresholds"}
 
 
@@ -158,25 +153,25 @@ class TestNoImportanceAblation:
         # lr = 0 stops SGD; only the importance update could move params.
         # Force a nonzero delta and check the ablation leaves params alone
         # while the full protocol does not.
-        def run(strategy_fn):
-            sim = build_sim(lr=0.0, alpha=0.0, clients_per_round=6)
+        def run(strategy):
+            sim = build_sim(strategy=strategy, lr=0.0, alpha=0.0, clients_per_round=6)
             for layer in sim.server.tau_current:
                 layer += 0.05  # makes delta = tau_current - tau_previous != 0
             before = [weights_digest(c.params) for c in sim.clients]
-            strategy_fn(sim, 0)
+            run_strategy_round(sim, 0)
             return before, [weights_digest(c.params) for c in sim.clients]
 
-        b, a = run(run_spafl_no_importance_round)
+        b, a = run("spafl_no_importance")
         assert a == b
-        b, a = run(run_spafl_round)
+        b, a = run("spafl")
         assert a != b
 
     def test_identical_to_spafl_when_delta_zero(self):
         # round 0 has delta = 0 by construction: both strategies coincide
         sim_a = build_sim(strategy="spafl")
         sim_b = build_sim(strategy="spafl_no_importance")
-        run_spafl_round(sim_a, 0)
-        run_spafl_no_importance_round(sim_b, 0)
+        run_strategy_round(sim_a, 0)
+        run_strategy_round(sim_b, 0)
         for x, y in zip(sim_a.server.tau_current, sim_b.server.tau_current):
             assert np.array_equal(x, y)
         for ca, cb in zip(sim_a.clients, sim_b.clients):
@@ -185,8 +180,8 @@ class TestNoImportanceAblation:
     def test_flops_exclude_importance_charge(self):
         sim_a = build_sim(strategy="spafl")
         sim_b = build_sim(strategy="spafl_no_importance")
-        ma = run_spafl_round(sim_a, 0)
-        mb = run_spafl_no_importance_round(sim_b, 0)
+        ma = run_strategy_round(sim_a, 0)
+        mb = run_strategy_round(sim_b, 0)
         k = sim_a.config.clients_per_round
         assert ma.cum_flops - mb.cum_flops == k * acc.importance_update_flops(sim_a.net.param_count)
 
