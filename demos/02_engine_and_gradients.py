@@ -36,11 +36,11 @@ velocity = params.zeros_like()
 for step in range(30):
     masks = pruning.generate_masks(net, params, tau)
     loss, grads = nn.backward_pass(net, params, masks, x, y)
-    h = pruning.threshold_gradient(grads, params, masks)
+    h = pruning.threshold_gradient(grads, params)
     nn.sgd_momentum_step(params, grads, velocity, lr=0.1, momentum=0.9)
     nn.clamp_parameters(params)
     tau = pruning.threshold_step(tau, h, lr=0.1, alpha=0.005)
     if step % 10 == 9:
-        report = pruning.density_metrics(masks)
+        report = pruning.density_metrics(net, masks)
         print(f"step {step + 1:2d}: loss {loss:.4f}  density {report.overall:.2f}")
 print("final accuracy on the toy batch:", np.mean(nn.predict(net, params, None, x) == y))

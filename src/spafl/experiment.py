@@ -254,12 +254,12 @@ def dump_sparsity_pattern(
         raise ConfigurationError(
             f"layer {layer} is not prunable; prunable layers: 0..{len(net.prunable) - 1}"
         )
-    masks = pruning.generate_masks(net, client.params, tau)
-    mask = masks[layer]
-    raster = np.where(mask > 0, 0, 255).astype(int)
+    mask = pruning.generate_masks(net, client.params, tau)[layer]
+    n_in = net.specs[net.prunable[layer]].n_in
     path = os.path.join(out_dir, f"mask_c{client.client_id}_l{layer}_r{round_index}.pgm")
-    lines = ["P2", f"{raster.shape[1]} {raster.shape[0]}", "255"]
-    lines += [" ".join(str(v) for v in row) for row in raster]
+    lines = ["P2", f"{n_in} {mask.size}", "255"]
+    # a unit's bit fills its whole raster row of n_in fan-in columns
+    lines += [" ".join([str(v)] * n_in) for v in np.where(mask > 0, 0, 255)]
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
     return path

@@ -28,6 +28,7 @@ from .nn import (
     Network,
     NetworkParams,
     backward_pass,
+    check_layer_count,
     clamp_parameters,
     forward_pass,
     sgd_momentum_step,
@@ -147,6 +148,7 @@ def importance_update(params: NetworkParams, delta_tau: list[np.ndarray]) -> Non
     whose threshold rose is shrunk. sign(0) counts as +1. Applied to every
     row, pruned or not; biases are untouched; results are clamped to [-1, 1].
     """
+    check_layer_count("delta_tau", len(delta_tau), len(params.weights))
     for pi, w in enumerate(params.weights):
         d = np.asarray(delta_tau[pi], dtype=np.float64)
         if d.shape[0] != w.shape[0]:
@@ -208,11 +210,11 @@ def local_train(
     for _ in range(epochs):
         if masked:
             masks = pruning.generate_masks(net, client.params, tau)
-            report = pruning.density_metrics(masks)
+            report = pruning.density_metrics(net, masks)
             if any(rho < pruning.RESET_DENSITY for rho in report.per_layer):
                 tau = pruning.layer_reset(tau, report)
                 masks = pruning.generate_masks(net, client.params, tau)
-                report = pruning.density_metrics(masks)
+                report = pruning.density_metrics(net, masks)
             densities = report.per_layer
         else:
             masks = None
@@ -225,7 +227,7 @@ def local_train(
             yb = dataset.labels[idx]
             _, grads = backward_pass(net, client.params, masks, xb, yb)
             if masked:
-                h = pruning.threshold_gradient(grads, client.params, masks)
+                h = pruning.threshold_gradient(grads, client.params)
             if update_params:
                 sgd_momentum_step(client.params, grads, client.velocity, lr, momentum)
                 clamp_parameters(client.params)
@@ -308,7 +310,7 @@ def _snapshot(sim: Simulation, view: SnapshotView, do_eval: bool):
             report = pruning.DensityReport(per_layer=[1.0] * len(sim.net.prunable), overall=1.0)
         else:
             masks = pruning.generate_masks(sim.net, params, tau)
-            report = pruning.density_metrics(masks)
+            report = pruning.density_metrics(sim.net, masks)
         per_layer += np.asarray(report.per_layer)
         overall += report.overall
         if do_eval:

@@ -8,10 +8,10 @@ Conventions:
     (n_out, n_in) with n_in = c_in * kh * kw and evaluated over extracted
     input patches, so dense and conv layers share one row-per-output-unit
     layout (the layout that per-filter pruning operates on)
-  * masks are per-layer (n_out, n_in) {0,1} matrices with constant rows;
-    only their first column is read. The model they define is the
-    masked-dense one, w * m with the bias of a pruned row removed; the
-    engine computes it without the pruned rows (structured-sparsity
+  * a mask is one (n_out,) {0,1} float vector per prunable layer, one bit
+    per output unit. The model it defines is the masked-dense one,
+    w * m[:, None] with the bias of a pruned unit removed; the engine
+    computes it without the pruned rows (structured-sparsity
     compaction): a layer gathers the weights of its active rows, and of
     those only the fan-in columns of the input channels (conv: c*kh*kw
     blocks, dense after a flatten: c*H*W blocks, dense after dense: units)
@@ -305,15 +305,26 @@ class _LayerCache(NamedTuple):
     row_mask: np.ndarray | None  # at full width, the {0,1} row vector the output was multiplied by
 
 
+def check_layer_count(name: str, count: int, expected: int) -> None:
+    """A per-prunable-layer list must have one entry per layer."""
+    if count != expected:
+        raise ConfigurationError(f"{name} has {count} layers, expected {expected}")
+
+
+def check_mask(mask: np.ndarray, n_out: int) -> None:
+    """A layer mask must be one row vector of the layer's n_out units."""
+    if mask.shape != (n_out,):
+        raise ConfigurationError(f"mask shape {mask.shape} does not match ({n_out},) output units")
+
+
 def _active_rows(params: NetworkParams, masks: list[np.ndarray] | None, pi: int) -> np.ndarray | None:
     """Indices of layer pi's active rows, or None when every row is active."""
     if masks is None:
         return None
     m = masks[pi]
-    if m.shape != params.weights[pi].shape:
-        raise ConfigurationError(f"mask shape {m.shape} does not match weights {params.weights[pi].shape}")
-    rows = m[:, 0].nonzero()[0]
-    return None if rows.size == m.shape[0] else rows
+    check_mask(m, params.weights[pi].shape[0])
+    rows = m.nonzero()[0]
+    return None if rows.size == m.size else rows
 
 
 def _compact(w: np.ndarray, rows: np.ndarray | None, keep: np.ndarray | None, c_in: int) -> np.ndarray:
@@ -359,6 +370,8 @@ def _forward(net: Network, params: NetworkParams, masks: list[np.ndarray] | None
     lists the channels present in ``x``, None meaning all of them.
     """
     x = _check_batch(net, batch)
+    if masks is not None:
+        check_layer_count("masks", len(masks), len(net.prunable))
     n = x.shape[0]
     caches = []
     keep = None
@@ -376,7 +389,7 @@ def _forward(net: Network, params: NetworkParams, masks: list[np.ndarray] | None
             else:
                 x, expanded, keep = _expand(x, keep, c_in, 1), keep, None
                 if rows is not None:
-                    row_mask, rows = masks[pi][:, 0], None
+                    row_mask, rows = masks[pi], None
             if spec.kind == "dense":
                 inputs = x.reshape(n, -1)
             else:

@@ -3,8 +3,10 @@
 A prunable layer with weight matrix (n_out, n_in) carries one threshold per
 output unit. A unit is pruned when the mean absolute magnitude of its row
 falls below its threshold; pruning zeroes the whole row (structured
-sparsity). Thresholds live in [0, 1] and are trained jointly with the
-weights: the loss gradient reaches them through an identity straight-through
+sparsity). A layer's mask is therefore one {0,1} float vector of shape
+(n_out,), one bit per unit, and w * mask[:, None] is the pruned weight
+matrix. Thresholds live in [0, 1] and are trained jointly with the weights:
+the loss gradient reaches them through an identity straight-through
 estimator, and an exponential regularizer pushes them upward to enforce
 sparsity.
 """
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import Network, NetworkParams
+from .nn import Network, NetworkParams, check_layer_count, check_mask
 
 # a layer whose row density drops below this fraction has its thresholds reset
 RESET_DENSITY = 0.01
@@ -38,8 +40,8 @@ def row_mean_abs(weights: np.ndarray) -> np.ndarray:
     return np.abs(weights).mean(axis=1)
 
 
-def generate_mask(mu: np.ndarray, tau: np.ndarray, n_in: int) -> np.ndarray:
-    """Row-constant {0,1} mask: row i is active iff mu_i >= tau_i.
+def generate_mask(mu: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """{0,1} row vector: unit i is active iff mu_i >= tau_i.
 
     Equality keeps the unit, so zero-initialized thresholds prune nothing.
     """
@@ -47,24 +49,19 @@ def generate_mask(mu: np.ndarray, tau: np.ndarray, n_in: int) -> np.ndarray:
     tau = np.asarray(tau, dtype=np.float64)
     if mu.shape != tau.shape:
         raise ConfigurationError(f"mu length {mu.shape} does not match tau length {tau.shape}")
-    active = (mu >= tau).astype(np.float64)
-    return np.repeat(active[:, None], n_in, axis=1)
+    return (mu >= tau).astype(np.float64)
 
 
 def generate_masks(net: Network, params: NetworkParams, tau: list[np.ndarray]) -> list[np.ndarray]:
     """Masks for every prunable layer, from the raw dense weights."""
-    masks = []
-    for pi, li in enumerate(net.prunable):
-        mu = row_mean_abs(params.weights[pi])
-        masks.append(generate_mask(mu, tau[pi], net.specs[li].n_in))
-    return masks
+    check_layer_count("tau", len(tau), len(net.prunable))
+    return [generate_mask(row_mean_abs(w), t) for w, t in zip(params.weights, tau)]
 
 
 def apply_mask(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Pruned weights w * p; the dense weights are left untouched."""
-    if weights.shape != mask.shape:
-        raise ConfigurationError(f"mask shape {mask.shape} does not match weights {weights.shape}")
-    return weights * mask
+    """Pruned weights w * mask[:, None]; the dense weights are left untouched."""
+    check_mask(mask, weights.shape[0])
+    return weights * mask[:, None]
 
 
 def sparsity_regularizer(tau: list[np.ndarray]) -> float:
@@ -72,24 +69,15 @@ def sparsity_regularizer(tau: list[np.ndarray]) -> float:
     return float(sum(np.exp(-t).sum() for t in tau))
 
 
-def threshold_gradient(
-    grads: NetworkParams,
-    params: NetworkParams,
-    masks: list[np.ndarray] | None = None,
-) -> list[np.ndarray]:
+def threshold_gradient(grads: NetworkParams, params: NetworkParams) -> list[np.ndarray]:
     """Loss gradient of each threshold via the identity straight-through
     estimator: h_i = -sum_j g_ij * w_ij over the unit's row.
 
-    Pruned rows contribute exactly zero (their weight-gradient rows are zero;
-    the row mask is applied as well when given).
+    Precondition: ``grads`` come from ``backward_pass`` under the same masks
+    the thresholds define. Those gradient rows of pruned units are exactly
+    zero, so pruned units get h_i = 0 with no mask applied here.
     """
-    h = []
-    for pi, w in enumerate(params.weights):
-        hi = -(grads.weights[pi] * w).sum(axis=1)
-        if masks is not None:
-            hi = hi * masks[pi][:, 0]
-        h.append(hi)
-    return h
+    return [-(g * w).sum(axis=1) for g, w in zip(grads.weights, params.weights)]
 
 
 def threshold_step(
@@ -107,6 +95,7 @@ def threshold_step(
         raise ConfigurationError("lr must be >= 0")
     if not 0.0 <= alpha <= 1.0:
         raise ConfigurationError("alpha must lie in [0, 1]")
+    check_layer_count("h", len(h), len(tau))
     return [np.clip(t - lr * hi + alpha * lr * np.exp(-t), 0.0, 1.0) for t, hi in zip(tau, h)]
 
 
@@ -118,11 +107,15 @@ class DensityReport:
     overall: float
 
 
-def density_metrics(masks: list[np.ndarray]) -> DensityReport:
-    per_layer = [float(m[:, 0].mean()) for m in masks]
-    active = sum(float(m.sum()) for m in masks)
-    total = sum(m.size for m in masks)
-    return DensityReport(per_layer=per_layer, overall=active / total)
+def density_metrics(net: Network, masks: list[np.ndarray]) -> DensityReport:
+    """An active unit keeps its n_in weight entries, a pruned one none."""
+    check_layer_count("masks", len(masks), len(net.prunable))
+    active = 0
+    for m, li in zip(masks, net.prunable):
+        check_mask(m, net.specs[li].n_out)
+        active += int(m.sum()) * net.specs[li].n_in
+    per_layer = [float(m.mean()) for m in masks]
+    return DensityReport(per_layer=per_layer, overall=active / net.weight_count)
 
 
 def layer_reset(tau: list[np.ndarray], report: DensityReport) -> list[np.ndarray]:

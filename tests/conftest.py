@@ -70,7 +70,4 @@ def tiny_dense_net(n_in: int = 4, hidden: int = 5, n_out: int = 3, seed: int = 0
 
 
 def all_ones_masks(net: nn.Network) -> list[np.ndarray]:
-    return [
-        np.ones((net.specs[i].n_out, net.specs[i].n_in))
-        for i in net.prunable
-    ]
+    return [np.ones(n) for n in net.threshold_sizes]

@@ -129,7 +129,7 @@ def random_small_net(seed: int):
         x = r.uniform(0, 1, (3, 1, 5, 5))
         tau = [r.uniform(0, 0.15, n) for n in net.threshold_sizes]
         masks = pruning.generate_masks(net, params, tau)
-        if all(m[:, 0].any() for m in masks) and _kink_margin(net, params, masks, x) > 1e-4:
+        if all(m.any() for m in masks) and _kink_margin(net, params, masks, x) > 1e-4:
             return net, params, x, y, tau
 
 
@@ -143,7 +143,7 @@ def test_criterion_2_gradient_correctness():
         masks = pruning.generate_masks(net, params, tau)
         _, grads = nn.backward_pass(net, params, masks, x, y)
         for pi in range(len(params.weights)):
-            row_active = masks[pi][:, 0].astype(bool)
+            row_active = masks[pi].astype(bool)
             n_in = params.weights[pi].shape[1]
             for flat in range(params.weights[pi].size):
                 if not row_active[flat // n_in]:
@@ -162,10 +162,10 @@ def test_criterion_2_gradient_correctness():
                 ok &= abs(fd - an) <= max(1e-4 * max(abs(fd), abs(an)), 1e-7)
                 checked += 1
         # threshold gradients against brute-force row recomputation
-        h = pruning.threshold_gradient(grads, params, masks)
+        h = pruning.threshold_gradient(grads, params)
         for pi in range(len(h)):
             brute = -np.einsum("ij,ij->i", grads.weights[pi], params.weights[pi])
-            brute = brute * masks[pi][:, 0]
+            brute = brute * masks[pi]
             denom = np.maximum(np.abs(brute), 1e-7 / 1e-4)
             ok &= bool(np.all(np.abs(h[pi] - brute) <= 1e-4 * denom))
         nets += 1
@@ -271,13 +271,18 @@ def test_criterion_6_thresholds_only_trend(trend_runs):
 def test_criterion_7_property_suites():
     ok = True
 
-    # mask row-constancy across live training rounds
+    # mask row-constancy across live training rounds: one {0,1} bit per
+    # unit, and applying it keeps or zeroes each weight row whole
     sim = small_sim("spafl", alpha=0.01)
     for t in range(3):
         run_strategy_round(sim, t)
         for client in sim.clients:
             masks = pruning.generate_masks(sim.net, client.params, sim.server.tau_current)
-            ok &= all(bool(np.all(m == m[:, :1])) for m in masks)
+            for w, m in zip(client.params.weights, masks):
+                ok &= m.shape == (w.shape[0],)
+                ok &= set(np.unique(m)) <= {0.0, 1.0}
+                pruned = pruning.apply_mask(w, m)
+                ok &= all(np.array_equal(p, row) or not p.any() for p, row in zip(pruned, w))
     # clamp invariants after training
     for client in sim.clients:
         ok &= all(bool(np.all(np.abs(w) <= 1.0)) for w in client.params.weights)
@@ -313,8 +318,8 @@ def test_criterion_7_property_suites():
     # recovery possibility: lower thresholds reactivate rows
     w = np.full((2, 3), 0.5)
     mu = pruning.row_mean_abs(w)
-    ok &= bool(np.all(pruning.generate_mask(mu, mu + 0.1, 3) == 0.0))
-    ok &= bool(np.all(pruning.generate_mask(mu, mu - 0.1, 3) == 1.0))
+    ok &= bool(np.all(pruning.generate_mask(mu, mu + 0.1) == 0.0))
+    ok &= bool(np.all(pruning.generate_mask(mu, mu - 0.1) == 1.0))
 
     # bit-exact determinism of a full experiment under a fixed seed
     import filecmp

@@ -162,7 +162,9 @@ class TestSparsityDump:
         path = dump_sparsity_pattern(sim.net, sim.clients[0], tau, 0, 2, str(tmp_path))
         lines = open(path).read().splitlines()
         raster = np.array([[int(v) for v in row.split()] for row in lines[3:]])
-        assert np.array_equal(raster, np.where(masks[0] > 0, 0, 255))
+        # one raster row per unit, its bit repeated across the n_in fan-in columns
+        n_in = sim.net.specs[sim.net.prunable[0]].n_in
+        assert np.array_equal(raster, np.repeat(np.where(masks[0] > 0, 0, 255)[:, None], n_in, axis=1))
 
     def test_non_prunable_layer_rejected(self, tmp_path):
         sim = self.build()

@@ -228,7 +228,7 @@ class TestLocalTrain:
         yb = self.dataset.labels[order]
         masks = pruning.generate_masks(self.net, mirror.params, tau0)
         _, grads = nn.backward_pass(self.net, mirror.params, masks, xb, yb)
-        h = pruning.threshold_gradient(grads, mirror.params, masks)
+        h = pruning.threshold_gradient(grads, mirror.params)
         nn.sgd_momentum_step(mirror.params, grads, mirror.velocity, lr, momentum)
         nn.clamp_parameters(mirror.params)
         expected_tau = pruning.threshold_step(tau0, h, lr, alpha)

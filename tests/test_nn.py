@@ -29,7 +29,7 @@ class TestForward:
 
     def test_fully_pruned_outputs_bias_only(self):
         net, params = identity_dense_net(2)
-        masks = [np.zeros((2, 2))]
+        masks = [np.zeros(2)]
         logits = nn.forward_pass(net, params, masks, np.array([[0.2, -0.3]]))
         assert np.array_equal(logits, [[0.0, 0.0]])
 
@@ -55,14 +55,22 @@ class TestForward:
             nn.forward_pass(net, params, None, np.zeros((2, 7)))
 
     def test_mask_shape_mismatch(self, rng):
+        # a mask is one (n_out,) row vector; the old (n_out, n_in) matrix
+        # format must raise rather than broadcast
         net, params = tiny_dense_net()
-        masks = all_ones_masks(net)
-        masks[1] = np.ones((masks[1].shape[0], masks[1].shape[1] + 1))
+        n_out, n_in = params.weights[1].shape
         x = rng.uniform(0, 1, (2, 4))
-        with pytest.raises(ConfigurationError, match="mask shape"):
-            nn.forward_pass(net, params, masks, x)
-        with pytest.raises(ConfigurationError, match="mask shape"):
-            nn.backward_pass(net, params, masks, x, np.array([0, 1]))
+        for bad in (np.ones((n_out, n_in + 1)), np.ones((n_out, n_in)), np.ones(n_out + 1), np.ones(n_out - 1)):
+            masks = all_ones_masks(net)
+            masks[1] = bad
+            with pytest.raises(ConfigurationError, match="mask shape"):
+                nn.forward_pass(net, params, masks, x)
+            with pytest.raises(ConfigurationError, match="mask shape"):
+                nn.backward_pass(net, params, masks, x, np.array([0, 1]))
+            with pytest.raises(ConfigurationError, match="mask shape"):
+                pruning.apply_mask(params.weights[1], bad)
+            with pytest.raises(ConfigurationError, match="mask shape"):
+                pruning.density_metrics(net, masks)
 
     def test_pruned_bias_removed(self):
         net = nn.Network((2,), [nn.dense(2)])
@@ -70,7 +78,7 @@ class TestForward:
             weights=[np.array([[0.5, 0.5], [0.5, 0.5]])],
             biases=[np.array([0.7, 0.9])],
         )
-        masks = [np.array([[1.0, 1.0], [0.0, 0.0]])]
+        masks = [np.array([1.0, 0.0])]
         logits = nn.forward_pass(net, params, masks, np.zeros((1, 2)))
         # the pruned row's bias must vanish with the row
         assert np.allclose(logits, [[0.7, 0.0]])
@@ -114,7 +122,7 @@ class TestBackward:
 
     def test_all_zero_mask_zero_grads(self, rng):
         net, params = tiny_dense_net()
-        masks = [np.zeros((net.specs[i].n_out, net.specs[i].n_in)) for i in net.prunable]
+        masks = [np.zeros(n) for n in net.threshold_sizes]
         x = rng.uniform(0, 1, (4, 4))
         y = rng.integers(0, 3, 4)
         _, grads = nn.backward_pass(net, params, masks, x, y)
@@ -126,8 +134,8 @@ class TestBackward:
     def test_masked_rows_are_zero(self, rng):
         net, params = tiny_conv_net()
         masks = all_ones_masks(net)
-        masks[0][1, :] = 0.0
-        masks[2][0, :] = 0.0
+        masks[0][1] = 0.0
+        masks[2][0] = 0.0
         x = rng.uniform(0, 1, (2, 1, 6, 6))
         y = rng.integers(0, 3, 2)
         _, grads = nn.backward_pass(net, params, masks, x, y)
@@ -197,7 +205,7 @@ class TestBackward:
         if density < 1.0:
             tau = [np.full(w.shape[0], np.quantile(pruning.row_mean_abs(w), 1.0 - density)) for w in params.weights]
             masks = pruning.generate_masks(net, params, tau)
-            assert pruning.density_metrics(masks).overall == pytest.approx(density, abs=0.01)
+            assert pruning.density_metrics(net, masks).overall == pytest.approx(density, abs=0.01)
         x = rng.uniform(0, 1, (64, *net.input_shape))
         y = rng.integers(0, 10, 64)
         tracemalloc.start()
@@ -223,13 +231,12 @@ def _row_masks(net: nn.Network, rng, dead: int | None = None) -> list[np.ndarray
     """Random {0,1} row masks (about 60% of rows active, at least one per
     layer); the prunable layer ``dead`` is pruned entirely."""
     masks = []
-    for pi, li in enumerate(net.prunable):
-        spec = net.specs[li]
-        row = (rng.random(spec.n_out) < 0.6).astype(float)
-        row[rng.integers(spec.n_out)] = 1.0
+    for pi, n_out in enumerate(net.threshold_sizes):
+        row = (rng.random(n_out) < 0.6).astype(float)
+        row[rng.integers(n_out)] = 1.0
         if pi == dead:
             row[:] = 0.0
-        masks.append(np.repeat(row[:, None], spec.n_in, axis=1))
+        masks.append(row)
     return masks
 
 
@@ -238,19 +245,19 @@ NETS = {"conv": tiny_conv_net, "strided": strided_conv_net, "mlp": lambda: tiny_
 
 class TestCompaction:
     """The engine evaluates only active rows; the reference evaluates the
-    masked-dense model: weights w * m and biases b * m[:, 0] on the dense
+    masked-dense model: weights w * m[:, None] and biases b * m on the dense
     path (masks=None), gradients multiplied by the mask afterwards."""
 
     @staticmethod
     def reference(net, params, masks, x, y):
         masked = nn.NetworkParams(
-            weights=[w * m for w, m in zip(params.weights, masks)],
-            biases=[None if b is None else b * m[:, 0] for b, m in zip(params.biases, masks)],
+            weights=[w * m[:, None] for w, m in zip(params.weights, masks)],
+            biases=[None if b is None else b * m for b, m in zip(params.biases, masks)],
         )
         logits = nn.forward_pass(net, masked, None, x)
         loss, grads = nn.backward_pass(net, masked, None, x, y)
-        grads.weights = [g * m for g, m in zip(grads.weights, masks)]
-        grads.biases = [None if g is None else g * m[:, 0] for g, m in zip(grads.biases, masks)]
+        grads.weights = [g * m[:, None] for g, m in zip(grads.weights, masks)]
+        grads.biases = [None if g is None else g * m for g, m in zip(grads.biases, masks)]
         return logits, loss, grads
 
     # batch 1 keeps every dense layer (and the strided net's second conv)
@@ -277,7 +284,7 @@ class TestCompaction:
         if dead == n_prunable - 1:
             assert np.array_equal(logits, np.zeros_like(logits))
         for pi, m in enumerate(masks):
-            pruned = m[:, 0] == 0.0
+            pruned = m == 0.0
             for g, r in ((grads.weights[pi], ref.weights[pi]), (grads.biases[pi], ref.biases[pi])):
                 assert g.shape == r.shape
                 assert np.allclose(g, r, rtol=1e-12, atol=1e-15)
@@ -308,7 +315,7 @@ class TestFiniteDiffOracle:
     def test_masked_parameter_has_no_effect(self, rng):
         net, params = tiny_dense_net()
         masks = all_ones_masks(net)
-        masks[0][2, :] = 0.0
+        masks[0][2] = 0.0
         x = rng.uniform(0, 1, (3, 4))
         y = rng.integers(0, 3, 3)
         n_in = net.specs[net.prunable[0]].n_in

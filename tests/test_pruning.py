@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spafl import nn, pruning
+from spafl import federation, nn, pruning
 from spafl.errors import ConfigurationError
 
-from conftest import tiny_conv_net
+from conftest import tiny_conv_net, tiny_dense_net
 
 
 class TestRowMeanAbs:
@@ -32,47 +32,50 @@ class TestGenerateMask:
     def test_zero_thresholds_prune_nothing(self, rng):
         w = rng.uniform(-1, 1, (4, 3))
         w[np.abs(w) < 1e-3] = 0.5  # no exactly-zero rows
-        mask = pruning.generate_mask(pruning.row_mean_abs(w), np.zeros(4), 3)
-        assert np.array_equal(mask, np.ones((4, 3)))
+        mask = pruning.generate_mask(pruning.row_mean_abs(w), np.zeros(4))
+        assert np.array_equal(mask, np.ones(4))
 
     def test_direct_evaluation(self):
-        mask = pruning.generate_mask(np.array([0.3, 0.1]), np.array([0.2, 0.2]), 2)
-        assert np.array_equal(mask, [[1.0, 1.0], [0.0, 0.0]])
+        mask = pruning.generate_mask(np.array([0.3, 0.1]), np.array([0.2, 0.2]))
+        assert np.array_equal(mask, [1.0, 0.0])
 
     def test_maximal_thresholds_prune_everything(self, rng):
         w = np.clip(rng.uniform(-0.9, 0.9, (5, 4)), -1, 1)
-        mask = pruning.generate_mask(pruning.row_mean_abs(w), np.ones(5), 4)
-        assert np.array_equal(mask, np.zeros((5, 4)))
+        mask = pruning.generate_mask(pruning.row_mean_abs(w), np.ones(5))
+        assert np.array_equal(mask, np.zeros(5))
 
     def test_boundary_equality_keeps(self):
-        mask = pruning.generate_mask(np.array([0.2]), np.array([0.2]), 3)
-        assert np.array_equal(mask, np.ones((1, 3)))
+        mask = pruning.generate_mask(np.array([0.2]), np.array([0.2]))
+        assert np.array_equal(mask, np.ones(1))
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigurationError):
-            pruning.generate_mask(np.zeros(3), np.zeros(2), 4)
+            pruning.generate_mask(np.zeros(3), np.zeros(2))
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_row_constancy(self, seed):
+        # one bit per unit: applying the mask keeps or zeroes whole rows
         r = np.random.default_rng(seed)
         w = r.uniform(-1, 1, (8, 5))
         tau = r.uniform(0, 1, 8)
-        mask = pruning.generate_mask(pruning.row_mean_abs(w), tau, 5)
-        assert np.all(mask == mask[:, :1])
+        mask = pruning.generate_mask(pruning.row_mean_abs(w), tau)
+        assert mask.shape == (8,)
         assert set(np.unique(mask)) <= {0.0, 1.0}
+        pruned = pruning.apply_mask(w, mask)
+        assert all(np.array_equal(p, row) or not p.any() for p, row in zip(pruned, w))
 
 
 class TestApplyMask:
     def test_identity_and_zero(self, rng):
         w = rng.uniform(-1, 1, (3, 4))
-        assert np.array_equal(pruning.apply_mask(w, np.ones_like(w)), w)
-        assert np.array_equal(pruning.apply_mask(w, np.zeros_like(w)), np.zeros_like(w))
+        assert np.array_equal(pruning.apply_mask(w, np.ones(3)), w)
+        assert np.array_equal(pruning.apply_mask(w, np.zeros(3)), np.zeros_like(w))
 
     def test_mixed_rows_and_originals_untouched(self, rng):
         w = rng.uniform(-1, 1, (3, 4))
         before = w.copy()
-        mask = np.array([[1.0] * 4, [0.0] * 4, [1.0] * 4])
+        mask = np.array([1.0, 0.0, 1.0])
         pruned = pruning.apply_mask(w, mask)
         assert np.array_equal(pruned[1], np.zeros(4))
         assert np.array_equal(pruned[0], w[0])
@@ -115,9 +118,9 @@ class TestThresholdGradient:
         x = rng.uniform(0, 1, (2, 1, 6, 6))
         y = rng.integers(0, 3, 2)
         _, grads = nn.backward_pass(net, params, masks, x, y)
-        h = pruning.threshold_gradient(grads, params, masks)
+        h = pruning.threshold_gradient(grads, params)
         for pi, m in enumerate(masks):
-            assert np.all(h[pi][m[:, 0] == 0] == 0.0)
+            assert np.all(h[pi][m == 0] == 0.0)
 
     def test_brute_force_identity(self, rng):
         # oracle: recompute -sum_j g_ij * w_ij row by row in a plain loop
@@ -176,22 +179,25 @@ class TestThresholdStep:
 
 class TestDensity:
     def test_all_ones(self):
-        masks = [np.ones((4, 3)), np.ones((2, 5))]
-        report = pruning.density_metrics(masks)
+        net = nn.build_mlp(3, [4], 2)
+        report = pruning.density_metrics(net, [np.ones(4), np.ones(2)])
         assert report.per_layer == [1.0, 1.0]
         assert report.overall == 1.0
 
     def test_row_counting(self):
-        mask = np.zeros((20, 7))
+        net = nn.Network((7,), [nn.dense(20)])
+        mask = np.zeros(20)
         mask[:5] = 1.0
-        assert pruning.density_metrics([mask]).per_layer[0] == pytest.approx(0.25)
+        assert pruning.density_metrics(net, [mask]).per_layer[0] == pytest.approx(0.25)
 
     def test_weighted_overall(self):
-        # 100 entries at 50% active plus 300 entries fully active -> 350/400
-        m1 = np.zeros((10, 10))
+        # 100 entries at 50% active plus 300 entries fully active -> 350/400;
+        # both layers have fan-in 10
+        net = nn.build_mlp(10, [10], 30)
+        m1 = np.zeros(10)
         m1[:5] = 1.0
-        m2 = np.ones((30, 10))
-        assert pruning.density_metrics([m1, m2]).overall == pytest.approx(0.875)
+        m2 = np.ones(30)
+        assert pruning.density_metrics(net, [m1, m2]).overall == pytest.approx(0.875)
 
 
 class TestLayerReset:
@@ -222,9 +228,9 @@ class TestRecovery:
         w = rng.uniform(0.2, 0.8, (3, 4))
         mu = pruning.row_mean_abs(w)
         tau_high = mu + 0.05
-        assert np.array_equal(pruning.generate_mask(mu, tau_high, 4), np.zeros((3, 4)))
+        assert np.array_equal(pruning.generate_mask(mu, tau_high), np.zeros(3))
         tau_low = mu - 0.01
-        assert np.array_equal(pruning.generate_mask(mu, tau_low, 4), np.ones((3, 4)))
+        assert np.array_equal(pruning.generate_mask(mu, tau_low), np.ones(3))
 
     def test_aggregation_can_rescue(self):
         # one client's low threshold pulls the mean below mu: mechanical
@@ -235,7 +241,7 @@ class TestRecovery:
         tau_a = [np.array([0.9])]
         tau_b = [np.array([0.05])]
         merged = aggregate_thresholds([tau_a, tau_b])
-        assert pruning.generate_mask(mu, merged[0], 2)[0, 0] == 1.0
+        assert pruning.generate_mask(mu, merged[0])[0] == 1.0
 
 
 def test_init_thresholds_zero():
@@ -243,3 +249,32 @@ def test_init_thresholds_zero():
     tau = pruning.init_thresholds(net)
     assert [t.shape[0] for t in tau] == [4, 3]
     assert all(np.array_equal(t, np.zeros_like(t)) for t in tau)
+
+
+def _layer_count_calls():
+    """Per entry point, a call that hands it a per-layer list one layer too
+    short or too long (``off``) for the two-layer tiny_dense_net."""
+    net, params = tiny_dense_net()
+    x = np.zeros((2, 4))
+    y = np.array([0, 1])
+
+    def resized(items, off):
+        return items[:off] if off < 0 else items + items[-off:]
+
+    ones = [np.ones(n) for n in net.threshold_sizes]
+    zeros = [np.zeros(n) for n in net.threshold_sizes]
+    return {
+        "generate_masks": lambda off: pruning.generate_masks(net, params, resized(zeros, off)),
+        "density_metrics": lambda off: pruning.density_metrics(net, resized(ones, off)),
+        "threshold_step": lambda off: pruning.threshold_step(zeros, resized(zeros, off), 0.1, 0.01),
+        "importance_update": lambda off: federation.importance_update(params, resized(zeros, off)),
+        "forward_pass": lambda off: nn.forward_pass(net, params, resized(ones, off), x),
+        "backward_pass": lambda off: nn.backward_pass(net, params, resized(ones, off), x, y),
+    }
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+@pytest.mark.parametrize("call", list(_layer_count_calls()))
+def test_layer_count_mismatch_raises(call, off):
+    with pytest.raises(ConfigurationError, match=f"has {2 + off} layers, expected 2"):
+        _layer_count_calls()[call](off)
