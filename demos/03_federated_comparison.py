@@ -1,7 +1,7 @@
 """Compare the threshold-exchange protocol against its baselines on a small
 non-iid synthetic task, printing accuracy, density and exact wire costs.
 
-Run: python demos/03_federated_comparison.py   (about a minute)
+Run: python demos/03_federated_comparison.py   (a few seconds)
 """
 
 import numpy as np

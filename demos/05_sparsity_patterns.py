@@ -2,16 +2,17 @@
 images (black = active unit row, white = pruned), the way structured
 sparsity is usually visualized.
 
-Run: python demos/05_sparsity_patterns.py   (writes /tmp/spafl-patterns/*.pgm)
+Run: python demos/05_sparsity_patterns.py   (writes the .pgm files into a new
+temporary directory, made with tempfile.mkdtemp and named spafl-patterns-*;
+the script prints its path)
 """
 
-import os
+import tempfile
 
 from spafl.experiment import ExperimentConfig, build_simulation, dump_sparsity_pattern
 from spafl.strategies import run_strategy_round
 
-OUT = "/tmp/spafl-patterns"
-os.makedirs(OUT, exist_ok=True)
+OUT = tempfile.mkdtemp(prefix="spafl-patterns-")
 
 cfg = ExperimentConfig(
     clients=8, clients_per_round=4, rounds=40, epochs=2,
@@ -31,4 +32,4 @@ for t in range(cfg.rounds):
             active = sum(1 for row in mask_rows if row.split()[0] == "0")
             print(f"round {t + 1:2d} layer {layer}: {active}/{len(mask_rows)} units active -> {path}")
 
-print("\nview the .pgm files with any image tool; rows are output units.")
+print(f"\nview the .pgm files in {OUT} with any image tool; rows are output units.")

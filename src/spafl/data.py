@@ -145,13 +145,16 @@ def synth_dataset(
         coords = rng.choice(dim, size=support, replace=False)
         means[c, coords] = 1.0 / np.sqrt(support)
     labels = np.repeat(np.arange(n_classes), n_per_class)
-    noise = rng.standard_normal((labels.size, dim))
-    raw = means[labels] + spread * noise
+    raw = rng.standard_normal((labels.size, dim))  # the noise, scaled and shifted in place
+    raw *= spread
+    raw += means[labels]
     lo, hi = raw.min(), raw.max()
     if hi - lo < 1e-12:
         samples = np.full_like(raw, 0.5)
     else:
-        samples = np.clip((raw - lo) / (hi - lo), 0.0, 1.0)
+        raw -= lo
+        raw /= hi - lo
+        samples = np.clip(raw, 0.0, 1.0, out=raw)
     return Dataset(samples=samples, labels=labels.astype(np.int64), n_classes=n_classes)
 
 

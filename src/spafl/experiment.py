@@ -25,7 +25,7 @@ from .federation import (
     ServerState,
     Simulation,
 )
-from .nn import Network, build_cnn7, build_lenet, build_mlp, init_params
+from .nn import Network, NetworkParams, build_cnn7, build_lenet, build_mlp, init_params
 from .strategies import parse_strategy, run_strategy_round, snapshot_view
 
 
@@ -208,11 +208,15 @@ def build_simulation(cfg: ExperimentConfig) -> Simulation:
     )
     init = init_params(net, rngs["init"])
     tau0 = pruning.init_thresholds(net)
+    # one contiguous block holds every client's parameters (row 0) and
+    # momentum (row 1); each client's flat vectors are rows of it
+    state = np.zeros((2, len(partition.clients), init.n_scalars))
+    state[0] = init.flat
     clients = [
         ClientState(
             client_id=k,
-            params=init.copy(),
-            velocity=init.zeros_like(),
+            params=NetworkParams.from_flat(state[0, k], init.layout),
+            velocity=NetworkParams.from_flat(state[1, k], init.layout),
             tau=[t.copy() for t in tau0],
             train_idx=entry.train,
             test_idx=entry.test,

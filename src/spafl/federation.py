@@ -23,7 +23,7 @@ import numpy as np
 from . import pruning
 from .accounting import BITS_PER_SCALAR, CostLedger, epoch_flops
 from .data import Dataset
-from .errors import ConfigurationError, DataError, ProtocolError
+from .errors import ConfigurationError, DataError, NumericError, ProtocolError
 from .nn import (
     Network,
     NetworkParams,
@@ -42,7 +42,10 @@ if TYPE_CHECKING:
 class ClientState:
     """Everything a client owns: dense parameters (never transmitted in
     threshold-exchange mode), momentum buffers, its data split, and the
-    threshold scratch vector of the most recent local training."""
+    threshold scratch vector of the most recent local training.
+
+    ``build_simulation`` lays every client's flat parameter and momentum
+    vectors out as rows of one contiguous block."""
 
     client_id: int
     params: NetworkParams
@@ -149,15 +152,17 @@ def importance_update(params: NetworkParams, delta_tau: list[np.ndarray]) -> Non
     row, pruned or not; biases are untouched; results are clamped to [-1, 1].
     """
     check_layer_count("delta_tau", len(delta_tau), len(params.weights))
-    for pi, w in enumerate(params.weights):
-        d = np.asarray(delta_tau[pi], dtype=np.float64)
+    deltas = [np.asarray(d, dtype=np.float64) for d in delta_tau]
+    for d, w in zip(deltas, params.weights):
         if d.shape[0] != w.shape[0]:
             raise ConfigurationError(
                 f"delta length {d.shape[0]} does not match layer rows {w.shape[0]}"
             )
+    for d, w in zip(deltas, params.weights):
         sgn = np.where(w.sum(axis=1) >= 0.0, 1.0, -1.0)
         w -= (d / w.shape[1])[:, None] * sgn[:, None]
-        np.clip(w, -1.0, 1.0, out=w)
+    weights = params.flat[: params.n_weights]
+    np.clip(weights, -1.0, 1.0, out=weights)
 
 
 def compute_delta_tau(server: ServerState) -> list[np.ndarray]:
@@ -205,15 +210,21 @@ def local_train(
     """
     if client.train_idx.size == 0:
         raise DataError(f"client {client.client_id} has no training samples")
-    tau = [t.copy() for t in tau_start]
+    # one flat threshold vector and one gradient buffer for the whole call;
+    # the threshold gradient lands in per-layer views of the flat ``h``
+    tau = pruning.flat_thresholds(net, tau_start)
+    h = np.empty_like(tau)
+    h_layers = pruning.layer_thresholds(net, h)
+    grads = client.params.zeros_like()
     flops = 0
-    for _ in range(epochs):
+    for epoch in range(epochs):
         if masked:
-            masks = pruning.generate_masks(net, client.params, tau)
+            tau_layers = pruning.layer_thresholds(net, tau)
+            masks = pruning.generate_masks(net, client.params, tau_layers)
             report = pruning.density_metrics(net, masks)
             if any(rho < pruning.RESET_DENSITY for rho in report.per_layer):
-                tau = pruning.layer_reset(tau, report)
-                masks = pruning.generate_masks(net, client.params, tau)
+                tau = np.concatenate(pruning.layer_reset(tau_layers, report))
+                masks = pruning.generate_masks(net, client.params, pruning.layer_thresholds(net, tau))
                 report = pruning.density_metrics(net, masks)
             densities = report.per_layer
         else:
@@ -221,20 +232,22 @@ def local_train(
             densities = [1.0] * len(net.prunable)
         flops += epoch_flops(net, densities, client.train_idx.size, include_importance_update=False)
         order = rng.permutation(client.train_idx)
-        for start in range(0, order.size, batch_size):
-            idx = order[start : start + batch_size]
-            xb = dataset.samples[idx]
-            yb = dataset.labels[idx]
-            _, grads = backward_pass(net, client.params, masks, xb, yb)
-            if masked:
-                h = pruning.threshold_gradient(grads, client.params)
-            if update_params:
-                sgd_momentum_step(client.params, grads, client.velocity, lr, momentum)
-                clamp_parameters(client.params)
+        samples, labels = dataset.samples[order], dataset.labels[order]  # batches are slices
+        for batch, start in enumerate(range(0, order.size, batch_size)):
+            stop = start + batch_size
+            try:
+                backward_pass(net, client.params, masks, samples[start:stop], labels[start:stop], out=grads)
+                if masked:
+                    pruning.threshold_gradient(grads, client.params, out=h_layers)
+                if update_params:
+                    sgd_momentum_step(client.params, grads, client.velocity, lr, momentum)
+                    clamp_parameters(client.params)
+            except NumericError as exc:
+                raise NumericError(f"client {client.client_id}, epoch {epoch}, batch {batch}: {exc}") from exc
             if masked:
                 tau = pruning.threshold_step(tau, h, lr, alpha)
-    client.tau = [t.copy() for t in tau]
-    return tau, flops
+    client.tau = pruning.layer_thresholds(net, tau)
+    return pruning.layer_thresholds(net, tau.copy()), flops
 
 
 def evaluate(
@@ -268,7 +281,6 @@ class RoundMetrics:
     overall_density: float
     cum_comm_bits: int
     cum_flops: int
-    accuracies: list[float] | None = None  # per evaluated client, id order
     skipped_clients: list[int] = field(default_factory=list)
 
 
@@ -341,7 +353,6 @@ def _finish_round(
         overall_density=overall,
         cum_comm_bits=sim.ledger.total_bits,
         cum_flops=sim.ledger.flops,
-        accuracies=accs,
     )
     sim.history.append(metrics)
     return metrics

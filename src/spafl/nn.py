@@ -22,8 +22,12 @@ Conventions:
     ``_COMPACT_MIN_ROWS`` is not compacted: gathering and scattering its
     weights would cost more than the multiply-adds skipped, so it runs at
     full width and multiplies its output by the row mask
+  * a model's weights and biases are views into one contiguous float64
+    vector (:class:`NetworkParams`), so the optimizer step and the clamp are
+    single calls on it
   * weight and bias gradients come back at full shape, with the rows of
-    pruned output units exactly zero; ``masks=None`` and fully active
+    pruned output units exactly zero, written straight into a caller's
+    gradient buffer when one is given; ``masks=None`` and fully active
     layers gather and scatter nothing
   * convolutions use the im2col/GEMM lowering (Chellapilla et al. 2006;
     Caffe): the forward pass is one matmul over the patch matrix, the weight
@@ -84,33 +88,77 @@ def relu() -> LayerSpec:
     return LayerSpec(kind="relu")
 
 
-@dataclass
 class NetworkParams:
-    """Weights and biases of the prunable layers, in network order.
+    """Weights and biases of the prunable layers, in network order, stored in
+    one contiguous float64 vector ``flat``.
 
-    The same container carries gradients and momentum buffers (they are
-    shape-congruent with the parameters).
+    ``flat`` holds every weight matrix row-major, layer after layer, then
+    every bias; ``weights[i]`` (n_out, n_in) and ``biases[i]`` (n_out,) are
+    views into it, and a layer without a bias has ``biases[i] = None`` and
+    takes no space. Write through the views in place: an array put into the
+    lists instead is not part of ``flat``. Whole-model ops (the optimizer
+    step, clamping, copying, averaging) are single calls on ``flat``.
+
+    The same container carries gradients and momentum buffers (they share
+    the parameters' layout).
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray | None]
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray | None]):
+        """Pack per-layer arrays into a new flat vector (they are copied)."""
+        check_layer_count("biases", len(biases), len(weights))
+        shapes = tuple(np.shape(w) for w in weights)
+        if any(len(s) != 2 for s in shapes):
+            raise ConfigurationError(f"weights must be (n_out, n_in) matrices, got shapes {list(shapes)}")
+        for (n_out, _), b in zip(shapes, biases):
+            if b is not None and np.shape(b) != (n_out,):
+                raise ConfigurationError(f"bias shape {np.shape(b)} does not match ({n_out},) output units")
+        layout = (shapes, tuple(b is not None for b in biases))
+        self._bind(np.empty(_layout_size(layout)), layout)
+        for view, w in zip(self.weights, weights):
+            view[...] = w
+        for view, b in zip(self.biases, biases):
+            if view is not None:
+                view[...] = b
+
+    def _bind(self, flat: np.ndarray, layout) -> None:
+        shapes, has_bias = layout
+        if flat.shape != (_layout_size(layout),) or flat.dtype != np.float64 or not flat.flags.c_contiguous:
+            raise ConfigurationError(f"flat vector of shape {flat.shape} does not fit the layout")
+        self.flat = flat
+        self.layout = layout
+        self.weights: list[np.ndarray] = []
+        self.biases: list[np.ndarray | None] = []
+        off = 0
+        for n_out, n_in in shapes:
+            self.weights.append(flat[off : off + n_out * n_in].reshape(n_out, n_in))
+            off += n_out * n_in
+        self.n_weights = off
+        for (n_out, _), hb in zip(shapes, has_bias):
+            self.biases.append(flat[off : off + n_out] if hb else None)
+            off += n_out if hb else 0
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, layout) -> "NetworkParams":
+        """A container whose storage is ``flat`` (not copied), laid out as
+        ``layout``: the per-layer weight shapes and has-bias flags."""
+        out = cls.__new__(cls)
+        out._bind(flat, layout)
+        return out
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[None if b is None else b.copy() for b in self.biases],
-        )
+        return NetworkParams.from_flat(self.flat.copy(), self.layout)
 
     def zeros_like(self) -> "NetworkParams":
-        return NetworkParams(
-            weights=[np.zeros_like(w) for w in self.weights],
-            biases=[None if b is None else np.zeros_like(b) for b in self.biases],
-        )
+        return NetworkParams.from_flat(np.zeros(self.flat.size), self.layout)
 
     @property
     def n_scalars(self) -> int:
-        n = sum(w.size for w in self.weights)
-        return n + sum(b.size for b in self.biases if b is not None)
+        return self.flat.size
+
+
+def _layout_size(layout) -> int:
+    shapes, has_bias = layout
+    return sum(n_out * n_in + (n_out if hb else 0) for (n_out, n_in), hb in zip(shapes, has_bias))
 
 
 def _conv_patch_index(c_in: int, h: int, w: int, kh: int, kw: int, stride: int):
@@ -237,6 +285,8 @@ class Network:
             specs.append(spec)
             self.out_shapes.append(shape)
         self.specs = specs
+        # per layer, the output positions each sample contributes GEMM rows for
+        self.positions = [math.prod(shape[1:]) for shape in self.out_shapes]
         self.prunable = [i for i, s in enumerate(specs) if s.kind in PRUNABLE_KINDS]
         if not self.prunable:
             raise ConfigurationError("network has no trainable layers")
@@ -257,26 +307,27 @@ class Network:
         n = self.weight_count
         return n + sum(self.specs[i].n_out for i in self.prunable if self.specs[i].has_bias)
 
+    @property
+    def param_layout(self):
+        """The :class:`NetworkParams` layout: weight shapes and has-bias flags."""
+        specs = [self.specs[i] for i in self.prunable]
+        return tuple((s.n_out, s.n_in) for s in specs), tuple(s.has_bias for s in specs)
+
 
 def init_params(net: Network, rng: np.random.Generator) -> NetworkParams:
     """Uniform weight init in [-b, b] with b = sqrt(1/n_in); zero biases."""
-    weights, biases = [], []
-    for i in net.prunable:
-        spec = net.specs[i]
-        bound = float(np.sqrt(1.0 / spec.n_in))
-        w = rng.uniform(-bound, bound, size=(spec.n_out, spec.n_in))
-        weights.append(np.clip(w, -1.0, 1.0))
-        biases.append(np.zeros(spec.n_out) if spec.has_bias else None)
-    return NetworkParams(weights=weights, biases=biases)
+    params = NetworkParams.from_flat(np.zeros(net.param_count), net.param_layout)
+    for w in params.weights:
+        bound = float(np.sqrt(1.0 / w.shape[1]))
+        np.clip(rng.uniform(-bound, bound, size=w.shape), -1.0, 1.0, out=w)
+    return params
 
 
 def _check_batch(net: Network, batch: np.ndarray) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim < 2:
         raise ConfigurationError(f"batch must have a leading batch dimension, got shape {batch.shape}")
-    feat = int(np.prod(batch.shape[1:]))
-    expect = int(np.prod(net.input_shape))
-    if feat != expect:
+    if math.prod(batch.shape[1:]) != math.prod(net.input_shape):
         raise ConfigurationError(
             f"batch features {batch.shape[1:]} incompatible with network input {net.input_shape}"
         )
@@ -349,18 +400,19 @@ def _expand(x: np.ndarray, keep: np.ndarray | None, size: int, axis: int) -> np.
     return out
 
 
-def _expand_weights(
-    g: np.ndarray, shape: tuple[int, int], rows: np.ndarray | None, keep: np.ndarray | None, c_in: int
-) -> np.ndarray:
-    """Inverse of :func:`_compact`: a compacted weight gradient placed into
-    zeros of the full (n_out, n_in) shape."""
+def _scatter_weights(
+    out: np.ndarray, g: np.ndarray, rows: np.ndarray | None, keep: np.ndarray | None, c_in: int
+) -> None:
+    """Inverse of :func:`_compact`: write a compacted weight gradient into
+    the full (n_out, n_in) ``out``, zeros everywhere else."""
+    out.fill(0.0)
     if keep is None:
-        return _expand(g, rows, shape[0], 0)
-    n_out, n_in = shape
+        out[rows] = g
+        return
+    n_out, n_in = out.shape
     blk = n_in // c_in
-    out = np.zeros((n_out, c_in, blk))
-    out[slice(None) if rows is None else rows[:, None], keep] = g.reshape(g.shape[0], keep.size, blk)
-    return out.reshape(shape)
+    blocks = out.reshape(n_out, c_in, blk)  # a view: out is C-contiguous
+    blocks[slice(None) if rows is None else rows[:, None], keep] = g.reshape(g.shape[0], keep.size, blk)
 
 
 def _forward(net: Network, params: NetworkParams, masks: list[np.ndarray] | None, batch: np.ndarray):
@@ -382,12 +434,13 @@ def _forward(net: Network, params: NetworkParams, masks: list[np.ndarray] | None
             c_in = net.in_shapes[li][0]
             w, b = params.weights[pi], params.biases[pi]
             expanded = row_mask = None
-            if n * math.prod(net.out_shapes[li][1:]) >= _COMPACT_MIN_ROWS:
+            if n * net.positions[li] >= _COMPACT_MIN_ROWS:
                 w = _compact(w, rows, keep, c_in)
                 if b is not None and rows is not None:
                     b = b[rows]
             else:
-                x, expanded, keep = _expand(x, keep, c_in, 1), keep, None
+                if keep is not None:
+                    x, expanded, keep = _expand(x, keep, c_in, 1), keep, None
                 if rows is not None:
                     row_mask, rows = masks[pi], None
             if spec.kind == "dense":
@@ -415,11 +468,23 @@ def _forward(net: Network, params: NetworkParams, masks: list[np.ndarray] | None
             x = y
         else:  # relu
             caches.append(("relu", x > 0.0))
-            x = np.maximum(x, 0.0)
+            # a layer's output is this pass's own array and is rectified in
+            # place; the network input (layer 0) belongs to the caller
+            x = np.maximum(x, 0.0, out=x) if li else np.maximum(x, 0.0)
     logits = _expand(x, keep, net.out_shapes[-1][0], 1).reshape(n, -1)
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("non-finite logits in forward pass")
+    if not np.isfinite(logits).all():
+        raise NumericError(f"non-finite logits in forward pass (first non-finite: {_first_nonfinite(caches)})")
     return logits, caches
+
+
+def _first_nonfinite(caches: list) -> str:
+    """Failure path of the logits check: where the non-finite values start,
+    judged by the input each prunable layer consumed."""
+    inputs = [c.inputs for c in caches if isinstance(c, _LayerCache)]
+    if not np.all(np.isfinite(inputs[0])):
+        return "the input batch"
+    bad = next((pi for pi, x in enumerate(inputs[1:]) if not np.all(np.isfinite(x))), len(inputs) - 1)
+    return f"the output of prunable layer {bad}"
 
 
 def forward_pass(
@@ -435,24 +500,26 @@ def forward_pass(
 
 def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+    if labels.size and (np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= n_classes):
         raise DataError(f"labels must lie in [0, {n_classes}), got range [{labels.min()}, {labels.max()}]")
-    return labels.astype(np.int64)
+    return labels.astype(np.int64, copy=False)
+
+
+def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy with log-sum-exp stabilization, and the softmax
+    probabilities from the same intermediates; labels already checked."""
+    n = logits.shape[0]
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    e = np.exp(z)
+    s = np.add.reduce(e, axis=1)
+    loss = float(np.add.reduce(np.log(s) - z[np.arange(n), labels]) / n)  # np.mean's sum and divide
+    return loss, e / s[:, None]
 
 
 def loss_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy with log-sum-exp stabilization."""
     logits = np.asarray(logits, dtype=np.float64)
-    labels = _check_labels(labels, logits.shape[1])
-    z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    return float(np.mean(lse - z[np.arange(logits.shape[0]), labels]))
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax_cross_entropy(logits, _check_labels(labels, logits.shape[1]))[0]
 
 
 def backward_pass(
@@ -461,20 +528,23 @@ def backward_pass(
     masks: list[np.ndarray] | None,
     batch: np.ndarray,
     labels: np.ndarray,
+    out: NetworkParams | None = None,
 ):
     """Mean cross-entropy loss and its gradient w.r.t. the dense parameters.
 
     Each layer's gradient is computed over its active rows and kept input
     channels and placed into zeros of the full shape, so the returned rows
-    of pruned output units (and their biases) are exactly zero.
+    of pruned output units (and their biases) are exactly zero. The gradient
+    is written into ``out`` (a container of the parameters' layout, every
+    entry overwritten) and returned; by default a new one is allocated.
     """
+    if out is not None and out.layout != params.layout:
+        raise ConfigurationError("gradient buffer layout does not match the parameters")
     logits, caches = _forward(net, params, masks, batch)
     labels = _check_labels(labels, logits.shape[1])
     n = logits.shape[0]
-    probs = _softmax(logits)
-    loss = loss_cross_entropy(logits, labels)
-    grads = NetworkParams(weights=[None] * len(params.weights), biases=[None] * len(params.biases))
-    delta = probs
+    loss, delta = _softmax_cross_entropy(logits, labels)
+    grads = params.zeros_like() if out is None else out
     delta[np.arange(n), labels] -= 1.0
     delta /= n  # d(mean CE)/d(logits)
     out_keep = caches[net.prunable[-1]].rows  # the logits' channels that were computed
@@ -493,11 +563,17 @@ def backward_pass(
                 dy = dx.reshape(n, f, oh * ow).transpose(0, 2, 1).reshape(n * oh * ow, f)
                 inputs = inputs.reshape(n * oh * ow, inputs.shape[2])
             if cache.row_mask is not None:
-                dy = dy * cache.row_mask
-            c_in = net.in_shapes[li][0]
-            grads.weights[pi] = _expand_weights(dy.T @ inputs, params.weights[pi].shape, cache.rows, cache.keep, c_in)
-            if params.biases[pi] is not None:
-                grads.biases[pi] = _expand(dy.sum(axis=0), cache.rows, params.biases[pi].size, 0)
+                dy *= cache.row_mask  # dy is this pass's own array
+            gw, gb = grads.weights[pi], grads.biases[pi]
+            if cache.rows is None and cache.keep is None:
+                np.matmul(dy.T, inputs, out=gw)
+            else:
+                _scatter_weights(gw, dy.T @ inputs, cache.rows, cache.keep, net.in_shapes[li][0])
+            if gb is not None and cache.rows is None:
+                np.add.reduce(dy, axis=0, out=gb)
+            elif gb is not None:
+                gb.fill(0.0)
+                gb[cache.rows] = np.add.reduce(dy, axis=0)
             if pi == 0:
                 break  # nothing below the first prunable layer needs a gradient
             in_shape, expanded = cache.in_shape, cache.expanded
@@ -512,7 +588,7 @@ def backward_pass(
             _, in_shape, arg = cache
             dx = _maxpool_backward(dx.reshape(arg.shape), arg, in_shape, net.specs[li], net.out_shapes[li])
         else:  # relu
-            dx = dx * cache[1]
+            dx *= cache[1]  # dx is this pass's own array
     return loss, grads
 
 
@@ -523,7 +599,7 @@ def sgd_momentum_step(
     lr: float,
     momentum: float,
 ) -> None:
-    """v <- momentum*v + g; w <- w - lr*v, in place.
+    """v <- momentum*v + g; w <- w - lr*v, in place, on the flat vectors.
 
     A non-finite gradient entry rejects the whole step without touching any
     buffer. Range clamping is a separate op composed by the caller.
@@ -532,28 +608,26 @@ def sgd_momentum_step(
         raise ConfigurationError("lr must be >= 0")
     if not 0.0 <= momentum < 1.0:
         raise ConfigurationError("momentum must lie in [0, 1)")
-    for g in grads.weights + [b for b in grads.biases if b is not None]:
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient entry; step rejected")
-    for i, w in enumerate(params.weights):
-        v = velocity.weights[i]
-        v *= momentum
-        v += grads.weights[i]
-        w -= lr * v
-        if params.biases[i] is not None:
-            vb = velocity.biases[i]
-            vb *= momentum
-            vb += grads.biases[i]
-            params.biases[i] -= lr * vb
+    if not params.layout == grads.layout == velocity.layout:
+        raise ConfigurationError("params, gradient and velocity layouts differ")
+    g = grads.flat
+    # an inf or nan entry makes g.g non-finite; a finite g whose square sum
+    # overflows falls through to the exact check
+    if not (np.isfinite(np.dot(g, g)) or np.isfinite(g).all()):
+        layer = next(
+            pi for pi, (w, b) in enumerate(zip(grads.weights, grads.biases))
+            if not (np.isfinite(w).all() and (b is None or np.isfinite(b).all()))
+        )
+        raise NumericError(f"non-finite gradient entry in prunable layer {layer}; step rejected")
+    v = velocity.flat
+    v *= momentum
+    v += g
+    params.flat -= lr * v
 
 
 def clamp_parameters(params: NetworkParams) -> NetworkParams:
     """Clamp every weight and bias into [-1, 1], in place; idempotent."""
-    for w in params.weights:
-        np.clip(w, -1.0, 1.0, out=w)
-    for b in params.biases:
-        if b is not None:
-            np.clip(b, -1.0, 1.0, out=b)
+    np.clip(params.flat, -1.0, 1.0, out=params.flat)
     return params
 
 

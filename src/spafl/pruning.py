@@ -29,15 +29,25 @@ def init_thresholds(net: Network) -> list[np.ndarray]:
     return [np.zeros(n) for n in net.threshold_sizes]
 
 
-def clamp_thresholds(tau: list[np.ndarray]) -> list[np.ndarray]:
-    return [np.clip(t, 0.0, 1.0) for t in tau]
+def flat_thresholds(net: Network, tau: list[np.ndarray]) -> np.ndarray:
+    """One new float64 vector holding every layer's thresholds in order."""
+    check_layer_count("tau", len(tau), len(net.prunable))
+    for t, n in zip(tau, net.threshold_sizes):
+        if np.shape(t) != (n,):
+            raise ConfigurationError(f"threshold vector of shape {np.shape(t)} does not match ({n},) units")
+    return np.concatenate(tau, dtype=np.float64)
+
+
+def layer_thresholds(net: Network, flat: np.ndarray) -> list[np.ndarray]:
+    """Per-layer views of a vector laid out by :func:`flat_thresholds`."""
+    return np.split(flat, np.cumsum(net.threshold_sizes)[:-1])
 
 
 def row_mean_abs(weights: np.ndarray) -> np.ndarray:
     """Per output unit, the mean absolute magnitude of its fan-in weights."""
     if weights.ndim != 2 or weights.shape[1] < 1:
         raise ConfigurationError(f"expected (n_out, n_in) weights, got {weights.shape}")
-    return np.abs(weights).mean(axis=1)
+    return np.add.reduce(np.abs(weights), axis=1) / weights.shape[1]  # the row mean, as np.mean computes it
 
 
 def generate_mask(mu: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -69,34 +79,55 @@ def sparsity_regularizer(tau: list[np.ndarray]) -> float:
     return float(sum(np.exp(-t).sum() for t in tau))
 
 
-def threshold_gradient(grads: NetworkParams, params: NetworkParams) -> list[np.ndarray]:
+def threshold_gradient(
+    grads: NetworkParams, params: NetworkParams, out: list[np.ndarray] | None = None
+) -> list[np.ndarray]:
     """Loss gradient of each threshold via the identity straight-through
     estimator: h_i = -sum_j g_ij * w_ij over the unit's row.
 
     Precondition: ``grads`` come from ``backward_pass`` under the same masks
     the thresholds define. Those gradient rows of pruned units are exactly
     zero, so pruned units get h_i = 0 with no mask applied here.
+
+    ``out`` (one vector per layer, e.g. views of one flat vector) receives
+    the result in place and is returned; by default new vectors are.
     """
-    return [-(g * w).sum(axis=1) for g, w in zip(grads.weights, params.weights)]
+    h = [np.empty(w.shape[0]) for w in params.weights] if out is None else out
+    check_layer_count("out", len(h), len(params.weights))
+    for g, w, hi in zip(grads.weights, params.weights, h):
+        np.add.reduce(g * w, axis=1, out=hi)
+        np.negative(hi, out=hi)
+    return h
 
 
 def threshold_step(
-    tau: list[np.ndarray],
-    h: list[np.ndarray],
+    tau: list[np.ndarray] | np.ndarray,
+    h: list[np.ndarray] | np.ndarray,
     lr: float,
     alpha: float,
-) -> list[np.ndarray]:
+) -> list[np.ndarray] | np.ndarray:
     """tau <- clip(tau - lr*h + alpha*lr*exp(-tau), 0, 1).
 
     The exp term is the descent direction of the sparsity regularizer, so
     with h = 0 and alpha > 0 every interior threshold strictly increases.
+    ``tau`` and ``h`` are per-layer lists, or one flat vector each (see
+    :func:`flat_thresholds`); the step is elementwise, so both forms give
+    the same bits, and the result takes the form of ``tau``.
     """
     if lr < 0:
         raise ConfigurationError("lr must be >= 0")
     if not 0.0 <= alpha <= 1.0:
         raise ConfigurationError("alpha must lie in [0, 1]")
+
+    def step(t, hi):
+        if np.shape(hi) != t.shape:
+            raise ConfigurationError(f"h shape {np.shape(hi)} does not match tau shape {t.shape}")
+        return np.clip(t - lr * hi + alpha * lr * np.exp(-t), 0.0, 1.0)
+
+    if isinstance(tau, np.ndarray):
+        return step(tau, h)
     check_layer_count("h", len(h), len(tau))
-    return [np.clip(t - lr * hi + alpha * lr * np.exp(-t), 0.0, 1.0) for t, hi in zip(tau, h)]
+    return [step(t, hi) for t, hi in zip(tau, h)]
 
 
 @dataclass(frozen=True)
@@ -111,10 +142,12 @@ def density_metrics(net: Network, masks: list[np.ndarray]) -> DensityReport:
     """An active unit keeps its n_in weight entries, a pruned one none."""
     check_layer_count("masks", len(masks), len(net.prunable))
     active = 0
+    per_layer = []
     for m, li in zip(masks, net.prunable):
         check_mask(m, net.specs[li].n_out)
-        active += int(m.sum()) * net.specs[li].n_in
-    per_layer = [float(m.mean()) for m in masks]
+        kept = np.add.reduce(m)
+        active += int(kept) * net.specs[li].n_in
+        per_layer.append(float(kept / m.size))  # the mask's mean, as np.mean computes it
     return DensityReport(per_layer=per_layer, overall=active / net.weight_count)
 
 

@@ -62,15 +62,14 @@ def parse_strategy(name: str) -> StrategyId:
 
 
 def aggregate_params(params_list: list[NetworkParams]) -> NetworkParams:
-    """Equal-weight elementwise mean of full parameter sets."""
+    """Equal-weight elementwise mean of full parameter sets: one mean over
+    the (K, P) stack of their flat vectors."""
     if not params_list:
         raise ProtocolError("cannot aggregate an empty set of parameter sets")
-    out = params_list[0].zeros_like()
-    for i in range(len(out.weights)):
-        out.weights[i] = np.mean([p.weights[i] for p in params_list], axis=0)
-        if out.biases[i] is not None:
-            out.biases[i] = np.mean([p.biases[i] for p in params_list], axis=0)
-    return out
+    layout = params_list[0].layout
+    if any(p.layout != layout for p in params_list):
+        raise ProtocolError("parameter layouts differ")
+    return NetworkParams.from_flat(np.mean(np.stack([p.flat for p in params_list]), axis=0), layout)
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,8 @@ def run_strategy_round(sim: Simulation, round_index: int, do_eval: bool = False)
             if spec.importance:
                 delta_recv = sim.channel.downlink(round_index, "threshold_delta", delta)
         elif spec.exchange == "params":
-            client.params = sim.channel.downlink(round_index, "params", server.global_params)
+            # into the client's own row of the contiguous client state
+            client.params.flat[:] = sim.channel.downlink(round_index, "params", server.global_params).flat
         jobs.append((cid, client, tau_start, delta_recv))
 
     def train_one(job):

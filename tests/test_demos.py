@@ -17,8 +17,9 @@ def test_all_five_demos_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS)
-def test_demo_runs(demo):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+def test_demo_runs(demo, tmp_path):
+    # TMPDIR keeps a demo's temporary output inside pytest's own tmp_path
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
     proc = subprocess.run(
         [sys.executable, f"demos/{demo}"], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )

@@ -1,6 +1,6 @@
 """The benchmark's spans see every traced call of a round: the round
-skeleton reaches each traced function through the namespace the tracer
-patches, so no per-module metric silently reads 0."""
+skeleton and the local training step reach each traced function through the
+namespace the tracer patches, so no per-module metric silently reads 0."""
 
 import sys
 from pathlib import Path
@@ -20,6 +20,14 @@ EXPECTED_SPANS = {
         "federation.local_train",
         "federation.evaluate",
         "federation.channel",
+        # the per-step and per-epoch calls inside local training
+        "nn.backward_pass",
+        "nn.sgd_momentum_step",
+        "nn.clamp_parameters",
+        "pruning.threshold_gradient",
+        "pruning.threshold_step",
+        "pruning.generate_masks",
+        "pruning.density_metrics",
     },
     "fedavg": {"strategies.aggregate_params", "federation.channel"},
     "local_only": {"federation.local_train", "federation.evaluate"},
