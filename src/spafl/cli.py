@@ -51,6 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     run.add_argument("--dirichlet-beta", dest="dirichlet_beta", type=float, default=None)
     run.add_argument("--test-fraction", dest="test_fraction", type=float, default=None)
+    run.add_argument("--min-per-client", dest="min_per_client", type=int, default=None)
     run.add_argument("--eval-every", dest="eval_every", type=int, default=None)
     run.add_argument("--dump-masks-every", dest="dump_masks_every", type=int, default=None)
     run.add_argument("--n-classes", dest="n_classes", type=int, default=None)

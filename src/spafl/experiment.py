@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,13 +88,28 @@ MODEL_PRESETS: dict[str, dict] = {
     ),
 }
 
-_VALID_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)  # its keys are the valid keys
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has a field's type: an int passes for a float,
+    a bool for no number, None only for an ``X | None`` field, and a
+    ``list[X]`` must hold only X."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if args:  # X | None
+        return any(_fits(value, h) for h in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
     """Resolve an experiment config: model preset defaults, then the JSON
-    file's keys, then explicit overrides (CLI flags). Unknown keys and
-    out-of-range values raise a usage error naming the valid choices."""
+    file's keys, then explicit overrides (CLI flags). Unknown keys, file
+    values of the wrong type and out-of-range values raise a usage error
+    naming the valid choices."""
     file_cfg: dict = {}
     if path is not None:
         with open(path) as f:
@@ -105,11 +121,16 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Expe
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
 
     for source, name in ((file_cfg, "config file"), (overrides, "flags")):
-        unknown = set(source) - _VALID_KEYS
+        unknown = source.keys() - _FIELD_TYPES.keys()
         if unknown:
             raise UsageError(
-                f"unknown {name} key(s) {sorted(unknown)}; valid keys: {sorted(_VALID_KEYS)}"
+                f"unknown {name} key(s) {sorted(unknown)}; valid keys: {sorted(_FIELD_TYPES)}"
             )
+    for key, value in file_cfg.items():
+        hint = _FIELD_TYPES[key]
+        if not _fits(value, hint):
+            expected = hint.__name__ if type(hint) is type else hint  # int, list[int], int | None
+            raise UsageError(f"config file key {key!r} expects {expected}, got {value!r}")
 
     merged: dict = {}
     model = overrides.get("model", file_cfg.get("model", ExperimentConfig.model))
@@ -127,7 +148,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Expe
 
 def _validate(cfg: ExperimentConfig) -> None:
     try:
-        parse_strategy(cfg.strategy)  # rejects unknown and deliberately absent ones
+        parse_strategy(cfg.strategy)
     except ConfigurationError as exc:
         raise UsageError(str(exc)) from None
     if cfg.dataset not in ("synthetic", "idx"):
@@ -306,8 +327,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             )
         if cfg.dump_masks_every > 0 and (t + 1) % cfg.dump_masks_every == 0:
             tau, _ = snapshot_view(sim, sim.clients[0])
-            if tau is None:  # the dense model prunes no row
-                tau = pruning.init_thresholds(sim.net)
             for layer in range(len(sim.net.prunable)):
                 dump_sparsity_pattern(sim.net, sim.clients[0], tau, layer, t, out_dir)
 

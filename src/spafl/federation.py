@@ -1,22 +1,22 @@
 """Round building blocks: client and server state, the instrumented
 channel, client sampling, local training of weights and thresholds,
 threshold aggregation, the importance-driven parameter update derived from
-consecutive global thresholds, evaluation and the round-end snapshot.
+consecutive global thresholds, and evaluation.
 
-The round itself is one skeleton in :mod:`spafl.strategies`, which composes
-these pieces per strategy. Parameters never leave a client in
-threshold-exchange mode; the only objects crossing the client/server
-boundary are threshold vectors (and their consecutive-round delta, which
-rides along at zero wire cost because it is reconstructible from the
-broadcast history). Every transfer goes through an instrumented
-:class:`Channel` so tests can audit both the types and the bit counts of a
-round.
+The round itself, including its round-end density and accuracy snapshot,
+is one function in :mod:`spafl.strategies`, which composes these pieces per
+strategy. Parameters never leave a client in threshold-exchange mode; the
+only objects crossing the client/server boundary are threshold vectors (and
+their consecutive-round delta, which rides along at zero wire cost because
+it is reconstructible from the broadcast history). Every transfer goes
+through an instrumented :class:`Channel` so tests can audit both the types
+and the bit counts of a round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -281,7 +281,7 @@ class RoundMetrics:
     overall_density: float
     cum_comm_bits: int
     cum_flops: int
-    skipped_clients: list[int] = field(default_factory=list)
+    skipped_clients: list[int]
 
 
 @dataclass
@@ -295,64 +295,9 @@ class Simulation:
     config: ExperimentConfig
     channel: Channel
     ledger: CostLedger
-    history: list[RoundMetrics] = field(default_factory=list)
 
 
 def client_rng(seed: int, round_index: int, client_id: int) -> np.random.Generator:
     """Deterministic per-(round, client) stream, independent of scheduling."""
     return np.random.default_rng(np.random.SeedSequence([seed, round_index + 1, client_id]))
 
-
-# client -> (thresholds, params) the round-end snapshot masks and evaluates
-# it with; thresholds None is the dense model
-SnapshotView = Callable[[ClientState], tuple[list[np.ndarray] | None, NetworkParams]]
-
-
-def _snapshot(sim: Simulation, view: SnapshotView, do_eval: bool):
-    """Mean per-layer and overall density across clients, and on an eval
-    round the accuracy of every client with a test split, under view(client).
-    Each client's masks are built once and serve both."""
-    per_layer = np.zeros(len(sim.net.prunable))
-    overall = 0.0
-    accs = [] if do_eval else None
-    for client in sim.clients:
-        tau, params = view(client)
-        if tau is None:
-            masks = None
-            report = pruning.DensityReport(per_layer=[1.0] * len(sim.net.prunable), overall=1.0)
-        else:
-            masks = pruning.generate_masks(sim.net, params, tau)
-            report = pruning.density_metrics(sim.net, masks)
-        per_layer += np.asarray(report.per_layer)
-        overall += report.overall
-        if do_eval:
-            acc = evaluate(sim.net, sim.dataset, client, masks, params=params)
-            if acc is not None:
-                accs.append(acc)
-    n = len(sim.clients)
-    return list(per_layer / n), overall / n, accs
-
-
-def _finish_round(
-    sim: Simulation,
-    round_index: int,
-    flops: int,
-    transfers_before: int,
-    do_eval: bool,
-    view: SnapshotView,
-) -> RoundMetrics:
-    bits_up = sim.channel.bits("uplink", since=transfers_before)
-    bits_down = sim.channel.bits("downlink", since=transfers_before)
-    sim.ledger.add_round(round_index, bits_up=bits_up, bits_down=bits_down, flops=flops)
-    per_layer, overall, accs = _snapshot(sim, view, do_eval)
-    metrics = RoundMetrics(
-        round_index=round_index,
-        mean_accuracy=float(np.mean(accs)) if accs else None,
-        std_accuracy=float(np.std(accs)) if accs else None,
-        per_layer_density=per_layer,
-        overall_density=overall,
-        cum_comm_bits=sim.ledger.total_bits,
-        cum_flops=sim.ledger.flops,
-    )
-    sim.history.append(metrics)
-    return metrics

@@ -2,10 +2,12 @@
 threshold-exchange protocol, its two ablations, the dense
 parameter-averaging baseline, and a communication-free local baseline.
 
-Every strategy plays the same round skeleton, :func:`run_strategy_round`.
-The strategies differ only in what crosses the channel, what trains and
-whether the importance update runs, and :data:`STRATEGIES` holds one row of
-those choices per strategy.
+Every strategy plays the same round, :func:`run_strategy_round`, from client
+sampling to the round-end snapshot (each client's density and accuracy
+under the strategy's view). The strategies differ only in what crosses the
+channel, what trains, whether the importance update runs and which view the
+snapshot takes, and :data:`STRATEGIES` holds one row of those choices per
+strategy.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ from enum import Enum
 
 import numpy as np
 
-from . import federation
+from . import federation, pruning
 from .accounting import importance_update_flops
 from .errors import ConfigurationError, ProtocolError
 from .federation import (
     ClientState,
     RoundMetrics,
     Simulation,
-    _finish_round,
     client_rng,
     compute_delta_tau,
     local_train,
@@ -41,17 +42,8 @@ class StrategyId(str, Enum):
     THRESHOLDS_ONLY = "thresholds_only"
 
 
-# named in the literature this package compares against, deliberately absent
-UNSUPPORTED_STRATEGIES = ("fedpm", "heterofl", "fjord", "fedp3", "fedspa")
-
-
 def parse_strategy(name: str) -> StrategyId:
     name = name.strip().lower()
-    if name in UNSUPPORTED_STRATEGIES:
-        raise ConfigurationError(
-            f"strategy {name!r} is not supported; supported strategies: "
-            + ", ".join(s.value for s in StrategyId)
-        )
     try:
         return StrategyId(name)
     except ValueError:
@@ -83,7 +75,7 @@ class StrategySpec:
     client's parameters up, averaged by ``aggregate_params``) or None.
     ``view`` is what the round-end snapshot masks and evaluates each client
     with: the ``"global"`` thresholds, the client's ``"own"`` thresholds, or
-    the ``"dense"`` global model.
+    the ``"dense"`` global model under zero thresholds, which prune nothing.
     """
 
     exchange: str | None
@@ -105,15 +97,16 @@ STRATEGIES: dict[StrategyId, StrategySpec] = {
 }
 
 
-def snapshot_view(
-    sim: Simulation, client: ClientState
-) -> tuple[list[np.ndarray] | None, NetworkParams]:
-    """The thresholds (None: the dense model) and the parameters the
-    configured strategy's round-end snapshot evaluates ``client`` with."""
-    view = STRATEGIES[parse_strategy(sim.config.strategy)].view
-    if view == "dense":
-        return None, sim.server.global_params
-    return (sim.server.tau_current if view == "global" else client.tau), client.params
+def _view(spec: StrategySpec, sim: Simulation, client: ClientState) -> tuple[list[np.ndarray], NetworkParams]:
+    if spec.view == "dense":
+        return pruning.init_thresholds(sim.net), sim.server.global_params
+    return (sim.server.tau_current if spec.view == "global" else client.tau), client.params
+
+
+def snapshot_view(sim: Simulation, client: ClientState) -> tuple[list[np.ndarray], NetworkParams]:
+    """The thresholds and the parameters the configured strategy's
+    round-end snapshot masks and evaluates ``client`` with."""
+    return _view(STRATEGIES[parse_strategy(sim.config.strategy)], sim, client)
 
 
 def run_strategy_round(sim: Simulation, round_index: int, do_eval: bool = False) -> RoundMetrics:
@@ -121,9 +114,12 @@ def run_strategy_round(sim: Simulation, round_index: int, do_eval: bool = False)
 
     Sample K clients; skip (with a warning) a sampled client without
     training data; send down to the others in id order; train them, on
-    ``sim.config.workers`` threads; send up in id order and aggregate; then
-    record the round. Each client trains from its own RNG stream, so the
-    worker count never changes results.
+    ``sim.config.workers`` threads; send up in id order and aggregate; book
+    the round's bits and FLOPs in the ledger; then take the snapshot: every
+    client's masks under the strategy's view give the mean per-layer and
+    overall density and, on an eval round, the mean accuracy. Each client
+    trains from its own RNG stream, so the worker count never changes
+    results.
     """
     spec = STRATEGIES[parse_strategy(sim.config.strategy)]
     cfg = sim.config
@@ -197,8 +193,34 @@ def run_strategy_round(sim: Simulation, round_index: int, do_eval: bool = False)
         server.global_params = aggregate_params(uploads)
     server.round_index = round_index + 1
 
-    metrics = _finish_round(
-        sim, round_index, flops, before, do_eval, view=lambda c: snapshot_view(sim, c)
+    sim.ledger.add_round(
+        round_index,
+        bits_up=sim.channel.bits("uplink", since=before),
+        bits_down=sim.channel.bits("downlink", since=before),
+        flops=flops,
     )
-    metrics.skipped_clients = skipped
-    return metrics
+
+    per_layer = np.zeros(len(sim.net.prunable))
+    overall = 0.0
+    accs = []
+    for client in sim.clients:
+        tau, params = _view(spec, sim, client)
+        masks = pruning.generate_masks(sim.net, params, tau)  # one set serves density and accuracy
+        report = pruning.density_metrics(sim.net, masks)
+        per_layer += report.per_layer
+        overall += report.overall
+        if do_eval:
+            acc = federation.evaluate(sim.net, sim.dataset, client, masks, params=params)
+            if acc is not None:
+                accs.append(acc)
+    n = len(sim.clients)
+    return RoundMetrics(
+        round_index=round_index,
+        mean_accuracy=float(np.mean(accs)) if accs else None,
+        std_accuracy=float(np.std(accs)) if accs else None,
+        per_layer_density=list(per_layer / n),
+        overall_density=overall / n,
+        cum_comm_bits=sim.ledger.total_bits,
+        cum_flops=sim.ledger.flops,
+        skipped_clients=skipped,
+    )

@@ -1,6 +1,7 @@
 """Config resolution, the experiment runner's file outputs, sparsity-pattern
 dumps and the verify-comm command."""
 
+import dataclasses
 import json
 import os
 
@@ -71,6 +72,46 @@ class TestParseConfig:
     def test_idx_requires_paths(self):
         with pytest.raises(UsageError, match="idx_images"):
             parse_config(None, {"dataset": "idx"})
+
+
+WRONGLY_TYPED = {
+    "strategy_int": ({"strategy": 5}, "str"),
+    "lr_null": ({"lr": None}, "float"),
+    "lr_str": ({"lr": "0.1"}, "float"),
+    "rounds_float": ({"rounds": 2.5}, "int"),
+    "rounds_bool": ({"rounds": True}, "int"),
+    "mlp_hidden_int": ({"mlp_hidden": 64}, "list[int]"),
+    "mlp_hidden_float_item": ({"mlp_hidden": [64, 1.5]}, "list[int]"),
+    "synth_dim_str": ({"synth_dim": "64"}, "int | None"),
+}
+
+
+@pytest.mark.parametrize("payload,expected", WRONGLY_TYPED.values(), ids=WRONGLY_TYPED.keys())
+def test_wrongly_typed_file_value_is_a_usage_error(tmp_path, capsys, payload, expected):
+    path = write_config(tmp_path, payload)
+    [(key, value)] = payload.items()
+    with pytest.raises(UsageError) as info:
+        parse_config(path)
+    assert f"{key!r} expects {expected}, got {value!r}" in str(info.value)
+    assert cli_mod.main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    assert f"{key!r} expects {expected}" in capsys.readouterr().err
+
+
+def test_well_typed_file_values_pass(tmp_path):
+    # an int where a float is expected, None for an ``X | None`` field
+    cfg = parse_config(write_config(tmp_path, {"lr": 1, "synth_dim": None, "mlp_hidden": [4, 3]}))
+    assert (cfg.lr, cfg.synth_dim, cfg.mlp_hidden) == (1, None, [4, 3])
+
+
+def test_every_config_key_has_a_run_flag():
+    args = vars(cli_mod.build_parser().parse_args(["run"]))
+    missing = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in args]
+    assert not missing, f"no spafl run flag for {missing}"
+
+
+def test_min_per_client_flag():
+    args = cli_mod.build_parser().parse_args(["run", "--min-per-client", "5"])
+    assert args.min_per_client == 5
 
 
 @pytest.mark.parametrize(
@@ -209,6 +250,8 @@ class TestCliMain:
         assert "K <= N" in capsys.readouterr().err
 
     def test_unsupported_strategy_via_cli(self, capsys):
-        code = cli_mod.main(["run", "--strategy", "fjord"])
-        assert code == 2
-        assert "not supported" in capsys.readouterr().err
+        for name in ("fedpm", "heterofl", "fjord", "fedp3", "fedspa"):
+            code = cli_mod.main(["run", "--strategy", name])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"unknown strategy '{name}'; supported strategies: spafl" in err

@@ -7,7 +7,7 @@ import pytest
 
 import spafl.accounting as acc
 from spafl import federation as fed
-from spafl import nn
+from spafl import nn, pruning
 from spafl.errors import ConfigurationError
 from spafl.experiment import ExperimentConfig, build_simulation
 from spafl.strategies import (
@@ -15,6 +15,7 @@ from spafl.strategies import (
     aggregate_params,
     parse_strategy,
     run_strategy_round,
+    snapshot_view,
 )
 
 
@@ -39,7 +40,7 @@ class TestParseStrategy:
 
     @pytest.mark.parametrize("name", ["fedpm", "heterofl", "fjord", "fedp3", "fedspa"])
     def test_deliberately_absent_baselines(self, name):
-        with pytest.raises(ConfigurationError, match="not supported"):
+        with pytest.raises(ConfigurationError, match=f"unknown strategy '{name}'; supported strategies: spafl"):
             parse_strategy(name)
 
     def test_unknown_name_lists_valid(self):
@@ -209,3 +210,31 @@ def test_empty_client_is_skipped_with_warning(strategy):
         metrics = run_strategy_round(sim, 0)
     assert metrics.skipped_clients == [2]
     assert weights_digest(sim.clients[2].params) == before
+
+
+class TestSnapshot:
+    def test_fedavg_snapshot_is_the_unmasked_global_model(self):
+        sim = build_sim(strategy="fedavg")
+        metrics = run_strategy_round(sim, 0, do_eval=True)
+        assert metrics.overall_density == 1.0
+        assert metrics.per_layer_density == [1.0] * len(sim.net.prunable)
+        accs = [fed.evaluate(sim.net, sim.dataset, c, None, params=sim.server.global_params) for c in sim.clients]
+        accs = [a for a in accs if a is not None]
+        assert metrics.mean_accuracy == float(np.mean(accs))
+        assert metrics.std_accuracy == float(np.std(accs))
+
+    def test_views(self):
+        sims = {name: build_sim(strategy=name) for name in ("spafl", "local_only", "fedavg")}
+        for sim in sims.values():
+            run_strategy_round(sim, 0)
+        sim = sims["spafl"]
+        tau, params = snapshot_view(sim, sim.clients[1])
+        assert tau is sim.server.tau_current and params is sim.clients[1].params
+        sim = sims["local_only"]
+        tau, params = snapshot_view(sim, sim.clients[1])
+        assert tau is sim.clients[1].tau and params is sim.clients[1].params
+        sim = sims["fedavg"]
+        tau, params = snapshot_view(sim, sim.clients[1])
+        assert params is sim.server.global_params
+        assert [t.tolist() for t in tau] == [t.tolist() for t in pruning.init_thresholds(sim.net)]
+        assert all(not t.any() for t in tau)

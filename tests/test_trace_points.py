@@ -29,7 +29,13 @@ EXPECTED_SPANS = {
         "pruning.generate_masks",
         "pruning.density_metrics",
     },
-    "fedavg": {"strategies.aggregate_params", "federation.channel"},
+    # the dense snapshot masks under zero thresholds, like every other view
+    "fedavg": {
+        "strategies.aggregate_params",
+        "federation.channel",
+        "federation.evaluate",
+        "pruning.generate_masks",
+    },
     "local_only": {"federation.local_train", "federation.evaluate"},
 }
 
