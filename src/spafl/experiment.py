@@ -165,6 +165,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise UsageError("epochs must be >= 1")
     if cfg.lr < 0:
         raise UsageError("lr must be >= 0")
+    if cfg.lr_decay < 0:
+        raise UsageError("lr_decay must be >= 0")
     if not 0.0 <= cfg.alpha <= 1.0:
         raise UsageError("alpha must lie in [0, 1]")
     if not 0.0 <= cfg.momentum < 1.0:
@@ -177,6 +179,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise UsageError("dirichlet_beta must be > 0")
     if cfg.workers < 1:
         raise UsageError("workers must be >= 1")
+    if cfg.synth_per_class < 1:
+        raise UsageError("synth_per_class must be >= 1")
+    for name in ("eval_every", "dump_masks_every", "min_per_client"):
+        if getattr(cfg, name) < 0:
+            raise UsageError(f"{name} must be >= 0")
 
 
 def _seeds(master: int) -> dict[str, np.random.Generator]:

@@ -2,12 +2,21 @@
 manual forward and backward passes over float64 numpy arrays.
 
 Conventions:
-  * every tensor is a float64 ``np.ndarray``; image batches are (B, C, H, W),
-    flat batches are (B, features)
+  * every tensor is a float64 ``np.ndarray``. Callers pass image batches as
+    (N, C, H, W) and flat batches as (N, features), and get (N, classes)
+    logits back. Per-sample shapes (``Network.in_shapes``/``out_shapes``)
+    are (C, H, W) or (features,)
+  * inside the engine an image batch is stored batch-innermost, as
+    (C, H, W, N): the input is transposed once on entry, and a map is
+    flattened once, in (c, h, w) order, where a dense layer reads it. Every
+    copy and add of the conv stack (patch extraction, col2im, pooling,
+    relu) then runs its inner loop over the batch, or over ow*N at stride
+    1, instead of over one output row (the CHWN layout of Chetlur et al.
+    2014, arXiv:1410.0759). Dense activations stay (N, units)
   * a convolution is stored as a flattened weight matrix of shape
-    (n_out, n_in) with n_in = c_in * kh * kw and evaluated over extracted
-    input patches, so dense and conv layers share one row-per-output-unit
-    layout (the layout that per-filter pruning operates on)
+    (n_out, n_in) with n_in = c_in * kh * kw, columns in (c, ky, kx) order,
+    so dense and conv layers share one row-per-output-unit layout (the
+    layout that per-filter pruning operates on)
   * a mask is one (n_out,) {0,1} float vector per prunable layer, one bit
     per output unit. The model it defines is the masked-dense one,
     w * m[:, None] with the bias of a pruned unit removed; the engine
@@ -15,10 +24,10 @@ Conventions:
     compaction): a layer gathers the weights of its active rows, and of
     those only the fan-in columns of the input channels (conv: c*kh*kw
     blocks, dense after a flatten: c*H*W blocks, dense after dense: units)
-    that survived the layer below. Activations stay compacted through relu
-    and maxpool; the logits are scattered back to full width, so a pruned
-    logit is exactly 0
-  * a layer whose GEMMs have fewer rows (batch x output positions) than
+    that survived the layer below. Kept channels are the leading axis of a
+    map. Activations stay compacted through relu and maxpool; the logits
+    are scattered back to full width, so a pruned logit is exactly 0
+  * a layer whose GEMMs span fewer (sample, output position) pairs than
     ``_COMPACT_MIN_ROWS`` is not compacted: gathering and scattering its
     weights would cost more than the multiply-adds skipped, so it runs at
     full width and multiplies its output by the row mask
@@ -30,12 +39,17 @@ Conventions:
     gradient buffer when one is given; ``masks=None`` and fully active
     layers gather and scatter nothing
   * convolutions use the im2col/GEMM lowering (Chellapilla et al. 2006;
-    Caffe): the forward pass is one matmul over the patch matrix, the weight
-    gradient is one GEMM ``dy.T @ cols`` over all (sample, position) rows,
-    and the input gradient scatters the patch gradients back with one
-    strided slice add per kernel offset (col2im); max pooling is a running
-    max over the same strided offset slices, and its gradient one strided
-    slice add per offset
+    Caffe) over a (c*kh*kw, oh*ow*N) patch matrix built by one strided
+    slice copy per kernel offset (no gather index): the forward pass is
+    ``Y = W @ cols``, the weight gradient ``dY @ cols.T`` over all
+    (position, sample) columns, and the input gradient ``W.T @ dY``
+    scattered back with one strided slice add per kernel offset (col2im);
+    max pooling is a running max over the same strided offset slices, and
+    its gradient one strided slice write per offset
+  * a relu directly followed by a maxpool runs after the pool, on the
+    smaller pooled map: max and relu commute exactly, and the gradient
+    still reaches each window's first maximum only, and only when that
+    maximum is positive
   * backprop stops after the first prunable layer's weight and bias
     gradients: the gradient w.r.t. the input batch is never computed
   * each layer's forward cache is released as soon as backprop has consumed
@@ -161,25 +175,6 @@ def _layout_size(layout) -> int:
     return sum(n_out * n_in + (n_out if hb else 0) for (n_out, n_in), hb in zip(shapes, has_bias))
 
 
-def _conv_patch_index(c_in: int, h: int, w: int, kh: int, kw: int, stride: int):
-    """Flat gather indices turning a (C,H,W) input into an im2col matrix.
-
-    Returns (index array of shape (oh*ow, c_in*kh*kw), (oh, ow)); entry order
-    inside a patch is channel-major (c, ky, kx), matching the weight rows.
-    """
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ConfigurationError(f"kernel {kh}x{kw} does not fit input {h}x{w}")
-    c = np.arange(c_in)[None, None, :, None, None]
-    oy = (stride * np.arange(oh))[:, None, None, None, None]
-    ox = (stride * np.arange(ow))[None, :, None, None, None]
-    dy = np.arange(kh)[None, None, None, :, None]
-    dx = np.arange(kw)[None, None, None, None, :]
-    idx = c * (h * w) + (oy + dy) * w + (ox + dx)
-    return idx.reshape(oh * ow, c_in * kh * kw), (oh, ow)
-
-
 def _offset_slices(spec: LayerSpec, out_shape: tuple[int, ...]) -> list[tuple[slice, slice]]:
     """Per kernel offset (ky, kx), in row-major order, the strided (row, col)
     slices of the layer input that hold that offset of every output window."""
@@ -190,30 +185,48 @@ def _offset_slices(spec: LayerSpec, out_shape: tuple[int, ...]) -> list[tuple[sl
     return [(slice(ky, ky + span_h, s), slice(kx, kx + span_w, s)) for ky in range(kh) for kx in range(kw)]
 
 
-def _col2im(dcols: np.ndarray, in_shape: tuple[int, ...], spec: LayerSpec, out_shape: tuple[int, ...]) -> np.ndarray:
-    """Scatter-add im2col patch gradients (B*oh*ow, c*kh*kw) back onto the
-    (B, C, H, W) input: one strided slice add per kernel offset."""
-    n, c, h, w = in_shape
+def _im2col(x: np.ndarray, spec: LayerSpec, out_shape: tuple[int, ...]) -> np.ndarray:
+    """The (c*kh*kw, oh*ow*N) patch matrix of a (C, H, W, N) map: one strided
+    slice copy per kernel offset. Rows are in (c, ky, kx) order, the order of
+    the weight columns; columns in (oy, ox, n) order."""
+    c, n = x.shape[0], x.shape[3]
     _, oh, ow = out_shape
-    kk = spec.kernel[0] * spec.kernel[1]
-    d = dcols.reshape(n, oh, ow, c, kk)
-    dx = np.zeros((n, h, w, c))
-    for k, (sy, sx) in enumerate(_offset_slices(spec, out_shape)):
-        dx[:, sy, sx, :] += d[:, :, :, :, k]
-    return dx.transpose(0, 3, 1, 2)
+    slices = _offset_slices(spec, out_shape)
+    cols = np.empty((c, len(slices), oh, ow, n))
+    for k, (sy, sx) in enumerate(slices):
+        cols[:, k] = x[:, sy, sx]
+    return cols.reshape(c * len(slices), oh * ow * n)
+
+
+def _col2im(dcols: np.ndarray, in_shape: tuple[int, ...], spec: LayerSpec, out_shape: tuple[int, ...]) -> np.ndarray:
+    """Scatter-add patch gradients (c*kh*kw, oh*ow*N) back onto the
+    (C, H, W, N) input: one strided slice add per kernel offset."""
+    c, _, _, n = in_shape
+    _, oh, ow = out_shape
+    slices = _offset_slices(spec, out_shape)
+    d = dcols.reshape(c, len(slices), oh, ow, n)
+    dx = np.zeros(in_shape)
+    for k, (sy, sx) in enumerate(slices):
+        dx[:, sy, sx] += d[:, k]
+    return dx
 
 
 def _maxpool(x: np.ndarray, spec: LayerSpec, out_shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Window maxima of a (B, C, H, W) batch as a running max over the strided
+    """Window maxima of a (C, H, W, N) map as a running max over the strided
     offset slices, plus each window's offset (ky*kw + kx) of its first maximum."""
     slices = _offset_slices(spec, out_shape)
-    y = x[:, :, slices[0][0], slices[0][1]].copy()
+    y = x[:, slices[0][0], slices[0][1]].copy()
     arg = np.zeros(y.shape, dtype=np.min_scalar_type(len(slices) - 1))
+    better = np.empty(y.shape, dtype=bool)
+    step = np.empty_like(arg)
     for k, (sy, sx) in enumerate(slices[1:], start=1):
-        v = x[:, :, sy, sx]
-        better = v > y  # strict, so the first occurrence wins ties
+        v = x[:, sy, sx]
+        np.greater(v, y, out=better)  # strict, so the first occurrence wins ties
         np.maximum(y, v, out=y)
-        arg[better] = k
+        # the offset of the last strict increase is the first maximum; as k
+        # grows, it is the largest k * better (a masked write costs 3x more)
+        np.multiply(better, arg.dtype.type(k), out=step)
+        np.maximum(arg, step, out=arg)
     return y, arg
 
 
@@ -221,19 +234,24 @@ def _maxpool_backward(
     dy: np.ndarray, arg: np.ndarray, in_shape: tuple[int, ...], spec: LayerSpec, out_shape: tuple[int, ...]
 ) -> np.ndarray:
     """Route each window's gradient to its first maximum: one strided slice
-    add per kernel offset (overlapping windows accumulate)."""
+    write per kernel offset; overlapping windows accumulate."""
+    overlap = spec.stride < max(spec.kernel)
     dx = np.zeros(in_shape)
     for k, (sy, sx) in enumerate(_offset_slices(spec, out_shape)):
-        dx[:, :, sy, sx] += dy * (arg == k)
+        if overlap:
+            dx[:, sy, sx] += dy * (arg == k)
+        else:
+            np.multiply(dy, arg == k, out=dx[:, sy, sx])
     return dx
 
 
 class Network:
     """Architecture: layer specs plus the shape flow from a fixed input shape.
 
-    The constructor resolves every ``n_in`` and precomputes the patch gather
-    index of each conv layer; the object itself is immutable and holds no
-    parameters, so it can be shared by every client.
+    ``in_shapes``/``out_shapes`` are per-sample shapes in the public
+    (C, H, W) order, whatever order the engine keeps a batch in. The
+    constructor resolves every ``n_in``; the object itself is immutable and
+    holds no parameters, so it can be shared by every client.
     """
 
     def __init__(self, input_shape: tuple[int, ...], layers: list[LayerSpec]):
@@ -243,7 +261,6 @@ class Network:
         specs: list[LayerSpec] = []
         self.in_shapes: list[tuple[int, ...]] = []
         self.out_shapes: list[tuple[int, ...]] = []
-        self._gather: list[np.ndarray | None] = []
         shape = self.input_shape
         for spec in layers:
             if spec.kind not in ("dense", "conv2d", "maxpool2d", "relu"):
@@ -257,18 +274,19 @@ class Network:
                 if spec.n_out < 1:
                     raise ConfigurationError("dense layer needs n_out >= 1")
                 shape = (spec.n_out,)
-                self._gather.append(None)
             elif spec.kind == "conv2d":
                 if len(shape) != 3:
                     raise ConfigurationError(f"conv2d expects (C,H,W) input, got {shape}")
                 c, h, w = shape
                 kh, kw = spec.kernel
-                idx, (oh, ow) = _conv_patch_index(c, h, w, kh, kw, spec.stride)
+                oh = (h - kh) // spec.stride + 1
+                ow = (w - kw) // spec.stride + 1
+                if oh < 1 or ow < 1:
+                    raise ConfigurationError(f"kernel {kh}x{kw} does not fit input {h}x{w}")
                 spec = replace(spec, n_in=c * kh * kw)
                 if spec.n_out < 1:
                     raise ConfigurationError("conv2d layer needs n_out >= 1")
                 shape = (spec.n_out, oh, ow)
-                self._gather.append(idx)
             elif spec.kind == "maxpool2d":
                 if len(shape) != 3:
                     raise ConfigurationError(f"maxpool2d expects (C,H,W) input, got {shape}")
@@ -279,13 +297,10 @@ class Network:
                 if oh < 1 or ow < 1:
                     raise ConfigurationError(f"pool {kh}x{kw} does not fit input {h}x{w}")
                 shape = (c, oh, ow)
-                self._gather.append(None)
-            else:  # relu
-                self._gather.append(None)
             specs.append(spec)
             self.out_shapes.append(shape)
         self.specs = specs
-        # per layer, the output positions each sample contributes GEMM rows for
+        # per layer, the output positions each sample adds to the layer's GEMMs
         self.positions = [math.prod(shape[1:]) for shape in self.out_shapes]
         self.prunable = [i for i, s in enumerate(specs) if s.kind in PRUNABLE_KINDS]
         if not self.prunable:
@@ -334,8 +349,8 @@ def _check_batch(net: Network, batch: np.ndarray) -> np.ndarray:
     return batch.reshape(batch.shape[0], *net.input_shape)
 
 
-# A layer runs over its active rows only when its GEMMs have at least this
-# many rows (batch x output positions). Every skipped weight saves that many
+# A layer runs over its active rows only when its GEMMs span at least this
+# many (sample, output position) pairs. Every skipped weight saves that many
 # multiply-adds per GEMM, while gathering the kept weights and scattering
 # their gradient back costs a fixed few per weight; below the cut the layer
 # runs at full width and multiplies its output by the row mask instead.
@@ -347,8 +362,8 @@ class _LayerCache(NamedTuple):
 
     kind: str
     pi: int
-    in_shape: tuple[int, ...]  # the layer input as evaluated
-    inputs: np.ndarray  # (B, n_in) for dense; the (B, oh*ow, n_in) patch matrix for conv
+    in_shape: tuple[int, ...]  # the layer input as evaluated: (N, ...) rows or a (C, H, W, N) map
+    inputs: np.ndarray  # (N, n_in) for dense; the (n_in, oh*ow*N) patch matrix for conv
     w: np.ndarray  # the weights as evaluated: compacted, or full
     rows: np.ndarray | None  # the computed rows when compacted; None = all rows
     keep: np.ndarray | None  # the input channels whose weight columns were gathered
@@ -389,10 +404,30 @@ def _compact(w: np.ndarray, rows: np.ndarray | None, keep: np.ndarray | None, c_
     return w
 
 
-def _expand(x: np.ndarray, keep: np.ndarray | None, size: int, axis: int) -> np.ndarray:
-    """Scatter x into zeros that are ``size`` long along ``axis``, at ``keep``."""
+def _channel_axis(x: np.ndarray) -> int:
+    """The channel (unit) axis of an activation: 0 for a (C, H, W, N) map,
+    1 for (N, units) rows."""
+    return 0 if x.ndim == 4 else 1
+
+
+def _flatten(x: np.ndarray) -> np.ndarray:
+    """The (N, features) rows of an activation; a (C, H, W, N) map is read in
+    (c, h, w) order, the order of a dense layer's weight columns."""
+    return x.reshape(-1, x.shape[-1]).T if x.ndim == 4 else x.reshape(x.shape[0], -1)
+
+
+def _unflatten(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of :func:`_flatten`: (N, features) rows back to an activation
+    of ``shape``."""
+    return g.T.reshape(shape) if len(shape) == 4 else g.reshape(shape)
+
+
+def _expand(x: np.ndarray, keep: np.ndarray | None, size: int) -> np.ndarray:
+    """Scatter x into zeros that are ``size`` long along its channel axis, at
+    ``keep``."""
     if keep is None:
         return x
+    axis = _channel_axis(x)
     shape = list(x.shape)
     shape[axis] = size
     out = np.zeros(shape)
@@ -419,14 +454,18 @@ def _forward(net: Network, params: NetworkParams, masks: list[np.ndarray] | None
     """Forward pass returning logits plus one cache per layer for backprop.
 
     Activations carry only the channels (units) of computed rows: ``keep``
-    lists the channels present in ``x``, None meaning all of them.
+    lists the channels present in ``x``, None meaning all of them. An image
+    batch is transposed once, to (C, H, W, N).
     """
     x = _check_batch(net, batch)
     if masks is not None:
         check_layer_count("masks", len(masks), len(net.prunable))
     n = x.shape[0]
+    if x.ndim == 4:
+        x = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
     caches = []
     keep = None
+    rectify = False  # a relu was deferred to the output of the next maxpool
     pi = 0
     for li, spec in enumerate(net.specs):
         if spec.kind in PRUNABLE_KINDS:
@@ -440,38 +479,49 @@ def _forward(net: Network, params: NetworkParams, masks: list[np.ndarray] | None
                     b = b[rows]
             else:
                 if keep is not None:
-                    x, expanded, keep = _expand(x, keep, c_in, 1), keep, None
+                    x, expanded, keep = _expand(x, keep, c_in), keep, None
                 if rows is not None:
                     row_mask, rows = masks[pi], None
             if spec.kind == "dense":
-                inputs = x.reshape(n, -1)
+                inputs = _flatten(x)
+                y = inputs @ w.T
+                if b is not None:
+                    y += b
+                if row_mask is not None:
+                    y *= row_mask
             else:
-                idx = net._gather[li]
-                if keep is not None:  # the first keep.size channel blocks of every patch
-                    idx = idx[:, : keep.size * spec.kernel[0] * spec.kernel[1]]
-                inputs = np.take(x.reshape(n, -1), idx, axis=1)  # (B, oh*ow, n_in); C-contiguous, unlike [:, idx]
-            y = inputs @ w.T
-            if b is not None:
-                y += b
-            if row_mask is not None:
-                y *= row_mask
-            caches.append(_LayerCache(spec.kind, pi, x.shape, inputs, w, rows, keep, expanded, row_mask))
-            if spec.kind == "conv2d":
+                inputs = _im2col(x, spec, net.out_shapes[li])
+                y = w @ inputs
+                if b is not None:
+                    y += b[:, None]
+                if row_mask is not None:
+                    y *= row_mask[:, None]
                 _, oh, ow = net.out_shapes[li]
-                y = y.transpose(0, 2, 1).reshape(n, w.shape[0], oh, ow)
+                y = y.reshape(w.shape[0], oh, ow, n)
+            caches.append(_LayerCache(spec.kind, pi, x.shape, inputs, w, rows, keep, expanded, row_mask))
             x = y
             keep = rows
             pi += 1
         elif spec.kind == "maxpool2d":
             y, arg = _maxpool(x, spec, net.out_shapes[li])
-            caches.append(("maxpool2d", x.shape, arg))
+            positive = None
+            if rectify:
+                positive = y > 0.0
+                np.maximum(y, 0.0, out=y)
+                rectify = False
+            caches.append(("maxpool2d", x.shape, arg, positive))
             x = y
+        elif li + 1 < len(net.specs) and net.specs[li + 1].kind == "maxpool2d":
+            # a relu followed by a maxpool: max and relu commute, so the pool
+            # rectifies its own, smaller output
+            caches.append(("relu", None))
+            rectify = True
         else:  # relu
             caches.append(("relu", x > 0.0))
             # a layer's output is this pass's own array and is rectified in
             # place; the network input (layer 0) belongs to the caller
             x = np.maximum(x, 0.0, out=x) if li else np.maximum(x, 0.0)
-    logits = _expand(x, keep, net.out_shapes[-1][0], 1).reshape(n, -1)
+    logits = _flatten(_expand(x, keep, net.out_shapes[-1][0]))
     if not np.isfinite(logits).all():
         raise NumericError(f"non-finite logits in forward pass (first non-finite: {_first_nonfinite(caches)})")
     return logits, caches
@@ -548,7 +598,10 @@ def backward_pass(
     delta[np.arange(n), labels] -= 1.0
     delta /= n  # d(mean CE)/d(logits)
     out_keep = caches[net.prunable[-1]].rows  # the logits' channels that were computed
-    dx = delta if out_keep is None else np.take(delta.reshape(n, *net.out_shapes[-1]), out_keep, axis=1)
+    last = net.out_shapes[-1]
+    dx = _unflatten(delta, (*last, n) if len(last) == 3 else (n, *last))
+    if out_keep is not None:
+        dx = np.take(dx, out_keep, axis=_channel_axis(dx))
     while caches:
         cache = caches.pop()  # release each layer's cache once consumed
         li = len(caches)  # one cache per layer, so this is the layer index
@@ -556,38 +609,42 @@ def backward_pass(
         if kind in PRUNABLE_KINDS:
             pi, inputs, w = cache.pi, cache.inputs, cache.w
             f = w.shape[0]
+            # gW is one GEMM over every (sample, output position) pair and gb
+            # a sum over them; dy is (N, f) for dense, (f, oh*ow*N) for conv
             if kind == "dense":
                 dy = dx.reshape(n, f)
+                dy_rows, x_pairs, pair_axis = dy.T, inputs, 0
             else:
-                _, oh, ow = net.out_shapes[li]
-                dy = dx.reshape(n, f, oh * ow).transpose(0, 2, 1).reshape(n * oh * ow, f)
-                inputs = inputs.reshape(n * oh * ow, inputs.shape[2])
-            if cache.row_mask is not None:
-                dy *= cache.row_mask  # dy is this pass's own array
+                dy = dx.reshape(f, inputs.shape[1])
+                dy_rows, x_pairs, pair_axis = dy, inputs.T, 1
+            if cache.row_mask is not None:  # dy is this pass's own array
+                dy *= cache.row_mask if kind == "dense" else cache.row_mask[:, None]
             gw, gb = grads.weights[pi], grads.biases[pi]
             if cache.rows is None and cache.keep is None:
-                np.matmul(dy.T, inputs, out=gw)
+                np.matmul(dy_rows, x_pairs, out=gw)
             else:
-                _scatter_weights(gw, dy.T @ inputs, cache.rows, cache.keep, net.in_shapes[li][0])
+                _scatter_weights(gw, dy_rows @ x_pairs, cache.rows, cache.keep, net.in_shapes[li][0])
             if gb is not None and cache.rows is None:
-                np.add.reduce(dy, axis=0, out=gb)
+                np.add.reduce(dy, axis=pair_axis, out=gb)
             elif gb is not None:
                 gb.fill(0.0)
-                gb[cache.rows] = np.add.reduce(dy, axis=0)
+                gb[cache.rows] = np.add.reduce(dy, axis=pair_axis)
             if pi == 0:
                 break  # nothing below the first prunable layer needs a gradient
             in_shape, expanded = cache.in_shape, cache.expanded
             if kind == "dense":
-                dx = (dy @ w).reshape(in_shape)
+                dx = _unflatten(dy @ w, in_shape)
             else:
-                del cache, inputs  # free the patch matrix before its gradient is built
-                dx = _col2im(dy @ w, in_shape, net.specs[li], net.out_shapes[li])
+                del cache, inputs, x_pairs  # free the patch matrix before its gradient is built
+                dx = _col2im(w.T @ dy, in_shape, net.specs[li], net.out_shapes[li])
             if expanded is not None:
-                dx = np.take(dx, expanded, axis=1)
+                dx = np.take(dx, expanded, axis=_channel_axis(dx))
         elif kind == "maxpool2d":
-            _, in_shape, arg = cache
-            dx = _maxpool_backward(dx.reshape(arg.shape), arg, in_shape, net.specs[li], net.out_shapes[li])
-        else:  # relu
+            _, in_shape, arg, positive = cache
+            if positive is not None:
+                dx *= positive  # the deferred relu; dx is this pass's own array
+            dx = _maxpool_backward(dx, arg, in_shape, net.specs[li], net.out_shapes[li])
+        elif cache[1] is not None:  # relu; None when its pool applied it
             dx *= cache[1]  # dx is this pass's own array
     return loss, grads
 

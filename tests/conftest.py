@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, set before numpy loads: on a 2-core machine the default
+# pool doubled the suite's CPU time and did not shorten its wall time.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

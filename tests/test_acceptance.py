@@ -90,8 +90,9 @@ def _kink_margin(net, params, masks, x) -> float:
         if cache[0] not in ("dense", "conv2d"):
             continue
         # a layer evaluates either its active rows only (cache.rows) or every
-        # row with its output multiplied by the row mask (cache.row_mask)
-        z = cache.inputs @ cache.w.T
+        # row with its output multiplied by the row mask (cache.row_mask); a
+        # conv layer's inputs are its (n_in, positions) patch matrix
+        z = cache.inputs @ cache.w.T if cache.kind == "dense" else (cache.w @ cache.inputs).T
         bias = params.biases[cache.pi]
         if bias is not None:
             z = z + (bias if cache.rows is None else bias[cache.rows])

@@ -114,6 +114,25 @@ def test_min_per_client_flag():
     assert args.min_per_client == 5
 
 
+OUT_OF_RANGE = {
+    "lr_decay": ("--lr-decay", "-0.5"),
+    "synth_per_class": ("--synth-per-class", "0"),
+    "eval_every": ("--eval-every", "-1"),
+    "dump_masks_every": ("--dump-masks-every", "-2"),
+    "min_per_client": ("--min-per-client", "-3"),
+}
+
+
+@pytest.mark.parametrize("key,flag,value", [(k, *fv) for k, fv in OUT_OF_RANGE.items()], ids=OUT_OF_RANGE.keys())
+def test_out_of_range_value_is_a_usage_error(tmp_path, capsys, key, flag, value):
+    # each was accepted at parse time, then failed mid-run or not at all
+    with pytest.raises(UsageError, match=f"{key} must be >= "):
+        parse_config(overrides={key: float(value) if key == "lr_decay" else int(value)})
+    assert cli_mod.main(["run", flag, value, "--out-dir", str(tmp_path)]) == 2
+    assert f"{key} must be >= " in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize(
     "fields", [dict(momentum=1.0), dict(clients=3, clients_per_round=5)], ids=["momentum", "k_gt_n"]
 )

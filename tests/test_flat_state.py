@@ -250,6 +250,16 @@ class TestNumericErrorNamesTheClient:
         with pytest.raises(NumericError, match=rf"client {bad.client_id}, epoch 0, batch 0: .*the input batch"):
             run_strategy_round(sim, 0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("make_net, layer", [(tiny_conv_net, 0), (strided_conv_net, 0), (strided_conv_net, 1)])
+    def test_nonfinite_conv_weight_is_named(self, make_net, layer, bad):
+        # the bad value crosses relu and the pool (the relu runs after it)
+        # into the next prunable layer's patch matrix or flattened input
+        net, params = make_net()
+        params.weights[layer][0, 0] = bad
+        with pytest.raises(NumericError, match=f"output of prunable layer {layer}"), np.errstate(invalid="ignore"):
+            nn.forward_pass(net, params, None, np.ones((2, *net.input_shape)))
+
     def test_nonfinite_hidden_layer_is_named(self):
         net = nn.build_mlp(4, [5, 5], 3)
         params = nn.init_params(net, np.random.default_rng(0))

@@ -14,6 +14,30 @@ from spafl.errors import ConfigurationError, DataError, NumericError
 from conftest import all_ones_masks, strided_conv_net, tiny_conv_net, tiny_dense_net
 
 
+def to_chwn(x: np.ndarray) -> np.ndarray:
+    """An (N, C, H, W) batch in the engine's batch-innermost layout."""
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0))
+
+
+def to_nchw(x: np.ndarray) -> np.ndarray:
+    return x.transpose(3, 0, 1, 2)
+
+
+def patch_index(in_shape, spec: nn.LayerSpec, out_shape) -> np.ndarray:
+    """(oh*ow, c*kh*kw) flat indices into a (C, H, W) sample: row (oy, ox)
+    holds that window's entries in (c, ky, kx) order, the weight-column order."""
+    c, h, w = in_shape
+    kh, kw = spec.kernel
+    _, oh, ow = out_shape
+    s = spec.stride
+    cc = np.arange(c)[None, None, :, None, None]
+    oy = (s * np.arange(oh))[:, None, None, None, None]
+    ox = (s * np.arange(ow))[None, :, None, None, None]
+    dy = np.arange(kh)[None, None, None, :, None]
+    dx = np.arange(kw)[None, None, None, None, :]
+    return (cc * (h * w) + (oy + dy) * w + (ox + dx)).reshape(oh * ow, c * kh * kw)
+
+
 def identity_dense_net(n: int) -> tuple[nn.Network, nn.NetworkParams]:
     net = nn.Network((n,), [nn.dense(n)])
     params = nn.NetworkParams(weights=[np.eye(n)], biases=[np.zeros(n)])
@@ -181,18 +205,30 @@ class TestBackward:
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("li", [0, 2])
+    def test_im2col_matches_index_gather(self, rng, li):
+        # reference: gather every patch entry through flat NCHW indices
+        net, _ = strided_conv_net()
+        spec, in_shape, out_shape = net.specs[li], net.in_shapes[li], net.out_shapes[li]
+        idx = patch_index(in_shape, spec, out_shape)
+        n = 3
+        x = rng.standard_normal((n, *in_shape))
+        ref = x.reshape(n, -1)[:, idx]  # (n, oh*ow, c*kh*kw)
+        got = nn._im2col(to_chwn(x), spec, out_shape)  # (c*kh*kw, oh*ow*n)
+        assert np.array_equal(got, ref.transpose(2, 1, 0).reshape(idx.shape[1], -1))
+
+    @pytest.mark.parametrize("li", [0, 2])
     def test_col2im_matches_index_scatter(self, rng, li):
         # reference: scatter-add every patch entry through the im2col gather
         # indices; the strided-slice col2im only reorders the float sums
         net, _ = strided_conv_net()
         spec, in_shape, out_shape = net.specs[li], net.in_shapes[li], net.out_shapes[li]
-        idx = net._gather[li]
+        idx = patch_index(in_shape, spec, out_shape)
         n = 3
-        dcols = rng.standard_normal((n * idx.shape[0], idx.shape[1]))
+        dcols = rng.standard_normal((idx.shape[1], idx.shape[0] * n))  # rows (c, ky, kx), columns (oy, ox, n)
         ref = np.zeros((n, int(np.prod(in_shape))))
-        np.add.at(ref, (np.arange(n)[:, None, None], idx[None]), dcols.reshape(n, *idx.shape))
-        got = nn._col2im(dcols, (n, *in_shape), spec, out_shape)
-        assert np.allclose(got, ref.reshape(n, *in_shape), rtol=1e-12, atol=1e-12)
+        np.add.at(ref, (np.arange(n)[:, None, None], idx[None]), dcols.reshape(idx.shape[1], -1, n).transpose(2, 1, 0))
+        got = nn._col2im(dcols, (*in_shape, n), spec, out_shape)
+        assert np.allclose(to_nchw(got), ref.reshape(n, *in_shape), rtol=1e-12, atol=1e-12)
 
     @staticmethod
     def lenet_batch64_peak(density: float) -> int:
@@ -216,13 +252,13 @@ class TestBackward:
             tracemalloc.stop()
 
     def test_lenet_batch64_peak_memory(self):
-        # 33.1 MB with numpy 2.4. Keeping every forward cache alive through
+        # 31.0 MB with numpy 2.4. Keeping every forward cache alive through
         # backprop, or conv2's patch matrix alive while its input gradient is
         # built, added 16 MB
         assert self.lenet_batch64_peak(1.0) <= 45e6
 
     def test_lenet_batch64_peak_memory_half_density(self):
-        # 23.1 MB: layers run over their active rows only, where computing
+        # 21.7 MB: layers run over their active rows only, where computing
         # the pruned rows as zeros peaked at 38.8 MB
         assert self.lenet_batch64_peak(0.5) <= 30e6
 
@@ -407,7 +443,7 @@ class TestMaxpoolTies:
         params = nn.NetworkParams(weights=[np.array([[1.0], [0.0]])], biases=[np.zeros(2)])
         x = np.array([[[[0.7, 0.7], [0.7, 0.7]]]])
         _, caches = nn._forward(net, params, None, x)
-        kind, in_shape, arg = caches[0]  # arg: per window, the offset ky*kw + kx of its max
+        kind, in_shape, arg, _ = caches[0]  # arg: per window, the offset ky*kw + kx of its max
         assert kind == "maxpool2d"
         assert arg[0, 0, 0, 0] == 0
 
@@ -421,7 +457,8 @@ class TestMaxpoolTies:
         oh, ow = (7 - kh) // stride + 1, (6 - kw) // stride + 1
         win = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=(2, 3))[:, :, ::stride, ::stride]
         win = win.reshape(2, 3, oh, ow, kh * kw)
-        y, arg = nn._maxpool(x, spec, (3, oh, ow))
+        y, arg = nn._maxpool(to_chwn(x), spec, (3, oh, ow))
+        y, arg = to_nchw(y), to_nchw(arg)
         assert np.array_equal(y, win.max(axis=-1))
         assert np.array_equal(arg, np.argmax(win, axis=-1))
         dy = rng.standard_normal(y.shape)
@@ -430,8 +467,80 @@ class TestMaxpoolTies:
             ky, kx = divmod(k, kw)
             for (b, c, i, j) in zip(*np.nonzero(arg == k)):
                 ref[b, c, ky + stride * i, kx + stride * j] += dy[b, c, i, j]
-        got = nn._maxpool_backward(dy, arg, x.shape, spec, (3, oh, ow))
-        assert np.allclose(got, ref, rtol=1e-12, atol=0)
+        got = nn._maxpool_backward(to_chwn(dy), to_chwn(arg), (3, 7, 6, 2), spec, (3, oh, ow))
+        assert np.allclose(to_nchw(got), ref, rtol=1e-12, atol=0)
+
+
+class TestReluPoolOrder:
+    """A relu directly followed by a maxpool runs after the pool, on the
+    smaller map. The reference below rectifies before pooling, in (N, C, H, W)
+    order, and routes each window's gradient to numpy's argmax (the first
+    maximum); weights and biases are masked-dense, gradients masked after."""
+
+    @staticmethod
+    def reference(net, params, masks, x, y):
+        (w1, w2), (b1, b2) = params.weights, params.biases
+        if masks is not None:
+            w1, w2, b1, b2 = w1 * masks[0][:, None], w2 * masks[1][:, None], b1 * masks[0], b2 * masks[1]
+        conv, pool = net.specs[0], net.specs[2]
+        (kh, kw), (ph, pw), ps = conv.kernel, pool.kernel, pool.stride
+        n, f = x.shape[0], w1.shape[0]
+        win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))  # (n, c, oh, ow, kh, kw)
+        z = np.einsum("ncyxij,fcij->nfyx", win, w1.reshape(f, -1, kh, kw)) + b1[None, :, None, None]
+        a = np.maximum(z, 0.0)
+        pwin = np.lib.stride_tricks.sliding_window_view(a, (ph, pw), axis=(2, 3))[:, :, ::ps, ::ps]
+        pwin = pwin.reshape(*pwin.shape[:4], ph * pw)
+        pooled, arg = pwin.max(axis=-1), np.argmax(pwin, axis=-1)
+        logits = pooled.reshape(n, -1) @ w2.T + b2
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        delta = (e / e.sum(axis=1, keepdims=True) - np.eye(logits.shape[1])[y]) / n
+        dpooled = (delta @ w2).reshape(pooled.shape)
+        da = np.zeros_like(a)
+        for (i, c, oy, ox), k in np.ndenumerate(arg):
+            ky, kx = divmod(k, pw)
+            da[i, c, ps * oy + ky, ps * ox + kx] += dpooled[i, c, oy, ox]
+        dz = da * (z > 0.0)
+        grads = [
+            np.einsum("nfyx,ncyxij->fcij", dz, win).reshape(f, -1),
+            delta.T @ pooled.reshape(n, -1),
+            dz.sum(axis=(0, 2, 3)),
+            delta.sum(axis=0),
+        ]
+        if masks is not None:
+            grads = [g * masks[i % 2][:, None] if g.ndim == 2 else g * masks[i % 2] for i, g in enumerate(grads)]
+        return logits, grads, pwin
+
+    # (2, 2) at stride 2 leaves the last row and column of the 5x5 map
+    # uncovered; the stride-1 pools overlap
+    @pytest.mark.parametrize("kernel, stride", [((2, 2), 2), ((2, 2), 1), ((3, 2), 1)])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("batch", [3, 20])
+    def test_matches_rectify_then_pool_reference(self, kernel, stride, masked, batch):
+        net = nn.Network((2, 7, 7), [nn.conv2d(4, (3, 3)), nn.relu(), nn.maxpool2d(kernel, stride), nn.dense(3)])
+        rng = np.random.default_rng(batch + 10 * stride + kernel[0])
+        # multiples of 1/2 on small integers: conv outputs are exact, so ties
+        # and windows without a positive entry are common
+        params = nn.NetworkParams(
+            weights=[rng.integers(-2, 3, (4, 18)) / 2, rng.uniform(-1, 1, (3, net.specs[3].n_in))],
+            biases=[rng.integers(-2, 2, 4) / 2, rng.uniform(-0.2, 0.2, 3)],
+        )
+        masks = _row_masks(net, rng) if masked else None
+        x = rng.integers(0, 3, (batch, *net.input_shape)).astype(float)
+        y = rng.integers(0, 3, batch)
+        ref_logits, ref, pwin = self.reference(net, params, masks, x, y)
+        top = pwin.max(axis=-1)
+        assert (top <= 0.0).any()  # a window with no positive entry
+        assert ((pwin == top[..., None]).sum(axis=-1) > 1)[top > 0.0].any()  # a tie among positive maxima
+        logits = nn.forward_pass(net, params, masks, x)
+        _, grads = nn.backward_pass(net, params, masks, x, y)
+        assert np.allclose(logits, ref_logits, rtol=1e-12, atol=1e-15)
+        for g, r in zip(grads.weights + grads.biases, ref):
+            assert g.shape == r.shape
+            assert np.allclose(g, r, rtol=1e-12, atol=1e-15)
+        if masked:
+            for pi, m in enumerate(masks):
+                assert np.array_equal(grads.weights[pi][m == 0.0], np.zeros_like(grads.weights[pi][m == 0.0]))
+                assert np.array_equal(grads.biases[pi][m == 0.0], np.zeros_like(grads.biases[pi][m == 0.0]))
 
 
 class TestPresets:
