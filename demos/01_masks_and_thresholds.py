@@ -38,9 +38,9 @@ params = nn.NetworkParams(weights=[weights], biases=[None])
 h = pruning.threshold_gradient(grads, params)
 print("threshold gradients h:", np.round(h[0], 4), "(pruned rows contribute 0)")
 
-stepped = pruning.threshold_step([tau], h, lr=0.1, alpha=0.01)
-print("after one step:", np.round(stepped[0], 4))
+stepped = pruning.threshold_step(tau, h[0], lr=0.1, alpha=0.01)
+print("after one step:", np.round(stepped, 4))
 
 # with no loss signal every interior threshold strictly increases
-drift = pruning.threshold_step([tau], [np.zeros(6)], lr=0.1, alpha=0.01)
-print("pure sparsity force moves tau up by:", np.round(drift[0] - tau, 5))
+drift = pruning.threshold_step(tau, np.zeros(6), lr=0.1, alpha=0.01)
+print("pure sparsity force moves tau up by:", np.round(drift - tau, 5))

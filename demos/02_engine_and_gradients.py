@@ -30,13 +30,14 @@ for pi in range(len(params.weights)):
         worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-12))
 print("worst relative gradient error vs finite differences:", f"{worst:.2e}")
 
-# a few masked training steps with momentum
-tau = pruning.init_thresholds(net)
+# a few masked training steps with momentum; the thresholds live in one flat
+# vector, and per-layer views of it give the masks
+tau = pruning.flat_thresholds(net, pruning.init_thresholds(net))
 velocity = params.zeros_like()
 for step in range(30):
-    masks = pruning.generate_masks(net, params, tau)
+    masks = pruning.generate_masks(net, params, pruning.layer_thresholds(net, tau))
     loss, grads = nn.backward_pass(net, params, masks, x, y)
-    h = pruning.threshold_gradient(grads, params)
+    h = np.concatenate(pruning.threshold_gradient(grads, params))
     nn.sgd_momentum_step(params, grads, velocity, lr=0.1, momentum=0.9)
     nn.clamp_parameters(params)
     tau = pruning.threshold_step(tau, h, lr=0.1, alpha=0.005)

@@ -40,14 +40,9 @@ def dense_comm_bits(clients_per_round: int, n_params: int, rounds: int) -> int:
     return rounds * 2 * clients_per_round * n_params * BITS_PER_SCALAR
 
 
-def threshold_count(net) -> int:
-    """tau_num: one threshold per output unit of every prunable layer.
-
-    Accepts a :class:`Network` or a plain iterable of :class:`LayerSpec`.
-    """
-    if isinstance(net, Network):
-        return int(sum(net.threshold_sizes))
-    return int(sum(s.n_out for s in net if s.kind in ("dense", "conv2d")))
+def threshold_count(net: Network) -> int:
+    """tau_num: one threshold per output unit of every prunable layer."""
+    return int(sum(net.threshold_sizes))
 
 
 def layer_flops_forward(

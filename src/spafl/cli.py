@@ -1,19 +1,22 @@
 """Command-line front end.
 
-``spafl run`` drives an experiment from a JSON config (flags override file
-keys); ``spafl verify-comm`` prints the closed-form communication totals of
-the reference presets so they can be cross-checked against the comparison
-tables.
+``spafl run`` drives an experiment from a JSON config. Every config key is
+also a flag, ``--`` plus the key with ``_`` spelled ``-`` (``--lr-decay``
+sets ``lr_decay``), and flags override file keys. ``spafl verify-comm``
+prints the closed-form communication totals of the reference presets so
+they can be cross-checked against the comparison tables.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import typing
 
 from .accounting import GBIT, spafl_comm_bits
 from .errors import SpaflError, UsageError
-from .experiment import parse_config, run_experiment
+from .experiment import ExperimentConfig, parse_config, run_experiment
 
 # (clients per round, threshold count, rounds) of the reference runs; the
 # cifar presets use the published threshold counts as given inputs
@@ -28,40 +31,24 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _flag_type(hint):
+    """The argparse type of a config field: ``_int_list`` for ``list[int]``,
+    the non-None arm of ``X | None``, else the hint itself."""
+    if typing.get_origin(hint) is list:
+        return _int_list
+    return next((a for a in typing.get_args(hint) if a is not type(None)), hint)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spafl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment")
     run.add_argument("--config", default=None, help="JSON config file (flat keys)")
-    run.add_argument("--dataset", choices=["synthetic", "idx"], default=None)
-    run.add_argument("--model", choices=["lenet", "cnn7", "mlp"], default=None)
-    run.add_argument("--strategy", default=None)
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--out-dir", dest="out_dir", default=None)
-    run.add_argument("--workers", type=int, default=None)
-    run.add_argument("--clients", type=int, default=None)
-    run.add_argument("--clients-per-round", dest="clients_per_round", type=int, default=None)
-    run.add_argument("--rounds", type=int, default=None)
-    run.add_argument("--epochs", type=int, default=None)
-    run.add_argument("--lr", type=float, default=None)
-    run.add_argument("--lr-decay", dest="lr_decay", type=float, default=None)
-    run.add_argument("--momentum", type=float, default=None)
-    run.add_argument("--alpha", type=float, default=None)
-    run.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    run.add_argument("--dirichlet-beta", dest="dirichlet_beta", type=float, default=None)
-    run.add_argument("--test-fraction", dest="test_fraction", type=float, default=None)
-    run.add_argument("--min-per-client", dest="min_per_client", type=int, default=None)
-    run.add_argument("--eval-every", dest="eval_every", type=int, default=None)
-    run.add_argument("--dump-masks-every", dest="dump_masks_every", type=int, default=None)
-    run.add_argument("--n-classes", dest="n_classes", type=int, default=None)
-    run.add_argument("--mlp-hidden", dest="mlp_hidden", type=_int_list, default=None)
-    run.add_argument("--synth-classes", dest="synth_classes", type=int, default=None)
-    run.add_argument("--synth-dim", dest="synth_dim", type=int, default=None)
-    run.add_argument("--synth-per-class", dest="synth_per_class", type=int, default=None)
-    run.add_argument("--synth-spread", dest="synth_spread", type=float, default=None)
-    run.add_argument("--idx-images", dest="idx_images", default=None)
-    run.add_argument("--idx-labels", dest="idx_labels", default=None)
+    hints = typing.get_type_hints(ExperimentConfig)
+    for f in dataclasses.fields(ExperimentConfig):
+        flag = "--" + f.name.replace("_", "-")
+        run.add_argument(flag, dest=f.name, type=_flag_type(hints[f.name]), default=None)
 
     verify = sub.add_parser("verify-comm", help="print closed-form communication totals")
     verify.add_argument("--preset", choices=sorted(COMM_PRESETS), default=None)

@@ -193,8 +193,8 @@ def local_train(
     momentum: float,
     batch_size: int,
     rng: np.random.Generator,
-    update_params: bool = True,
-    masked: bool = True,
+    train_weights: bool = True,
+    train_thresholds: bool = True,
 ) -> tuple[list[np.ndarray], int]:
     """Run local epochs of joint weight/threshold SGD; returns (tau, flops).
 
@@ -205,8 +205,9 @@ def local_train(
     at. Only the final threshold vector leaves this function; the client's
     parameters and momentum are mutated in place.
 
-    ``masked=False`` trains the dense model and leaves the thresholds as
-    they start; ``update_params=False`` freezes the parameters.
+    ``train_thresholds=False`` leaves the thresholds as they start (zero
+    thresholds keep every unit: the dense model); ``train_weights=False``
+    freezes the parameters.
     """
     if client.train_idx.size == 0:
         raise DataError(f"client {client.client_id} has no training samples")
@@ -218,33 +219,28 @@ def local_train(
     grads = client.params.zeros_like()
     flops = 0
     for epoch in range(epochs):
-        if masked:
-            tau_layers = pruning.layer_thresholds(net, tau)
-            masks = pruning.generate_masks(net, client.params, tau_layers)
+        tau_layers = pruning.layer_thresholds(net, tau)
+        masks = pruning.generate_masks(net, client.params, tau_layers)
+        report = pruning.density_metrics(net, masks)
+        if any(rho < pruning.RESET_DENSITY for rho in report.per_layer):
+            tau = np.concatenate(pruning.layer_reset(tau_layers, report))
+            masks = pruning.generate_masks(net, client.params, pruning.layer_thresholds(net, tau))
             report = pruning.density_metrics(net, masks)
-            if any(rho < pruning.RESET_DENSITY for rho in report.per_layer):
-                tau = np.concatenate(pruning.layer_reset(tau_layers, report))
-                masks = pruning.generate_masks(net, client.params, pruning.layer_thresholds(net, tau))
-                report = pruning.density_metrics(net, masks)
-            densities = report.per_layer
-        else:
-            masks = None
-            densities = [1.0] * len(net.prunable)
-        flops += epoch_flops(net, densities, client.train_idx.size, include_importance_update=False)
+        flops += epoch_flops(net, report.per_layer, client.train_idx.size, include_importance_update=False)
         order = rng.permutation(client.train_idx)
         samples, labels = dataset.samples[order], dataset.labels[order]  # batches are slices
         for batch, start in enumerate(range(0, order.size, batch_size)):
             stop = start + batch_size
             try:
                 backward_pass(net, client.params, masks, samples[start:stop], labels[start:stop], out=grads)
-                if masked:
+                if train_thresholds:
                     pruning.threshold_gradient(grads, client.params, out=h_layers)
-                if update_params:
+                if train_weights:
                     sgd_momentum_step(client.params, grads, client.velocity, lr, momentum)
                     clamp_parameters(client.params)
             except NumericError as exc:
                 raise NumericError(f"client {client.client_id}, epoch {epoch}, batch {batch}: {exc}") from exc
-            if masked:
+            if train_thresholds:
                 tau = pruning.threshold_step(tau, h, lr, alpha)
     client.tau = pruning.layer_thresholds(net, tau)
     return pruning.layer_thresholds(net, tau.copy()), flops

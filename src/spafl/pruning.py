@@ -100,34 +100,20 @@ def threshold_gradient(
     return h
 
 
-def threshold_step(
-    tau: list[np.ndarray] | np.ndarray,
-    h: list[np.ndarray] | np.ndarray,
-    lr: float,
-    alpha: float,
-) -> list[np.ndarray] | np.ndarray:
-    """tau <- clip(tau - lr*h + alpha*lr*exp(-tau), 0, 1).
+def threshold_step(tau: np.ndarray, h: np.ndarray, lr: float, alpha: float) -> np.ndarray:
+    """tau <- clip(tau - lr*h + alpha*lr*exp(-tau), 0, 1), elementwise over
+    one flat threshold vector (see :func:`flat_thresholds`) and its gradient.
 
     The exp term is the descent direction of the sparsity regularizer, so
     with h = 0 and alpha > 0 every interior threshold strictly increases.
-    ``tau`` and ``h`` are per-layer lists, or one flat vector each (see
-    :func:`flat_thresholds`); the step is elementwise, so both forms give
-    the same bits, and the result takes the form of ``tau``.
     """
     if lr < 0:
         raise ConfigurationError("lr must be >= 0")
     if not 0.0 <= alpha <= 1.0:
         raise ConfigurationError("alpha must lie in [0, 1]")
-
-    def step(t, hi):
-        if np.shape(hi) != t.shape:
-            raise ConfigurationError(f"h shape {np.shape(hi)} does not match tau shape {t.shape}")
-        return np.clip(t - lr * hi + alpha * lr * np.exp(-t), 0.0, 1.0)
-
-    if isinstance(tau, np.ndarray):
-        return step(tau, h)
-    check_layer_count("h", len(h), len(tau))
-    return [step(t, hi) for t, hi in zip(tau, h)]
+    if np.shape(h) != np.shape(tau):
+        raise ConfigurationError(f"h shape {np.shape(h)} does not match tau shape {np.shape(tau)}")
+    return np.clip(tau - lr * h + alpha * lr * np.exp(-tau), 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,11 @@ threshold-exchange protocol, its two ablations, the dense
 parameter-averaging baseline, and a communication-free local baseline.
 
 Every strategy plays the same round, :func:`run_strategy_round`, from client
-sampling to the round-end snapshot (each client's density and accuracy
-under the strategy's view). The strategies differ only in what crosses the
-channel, what trains, whether the importance update runs and which view the
-snapshot takes, and :data:`STRATEGIES` holds one row of those choices per
-strategy.
+sampling to the round-end snapshot (each client's density and accuracy).
+The strategies differ only in what crosses the channel, what trains and
+whether the importance update runs; :data:`STRATEGIES` holds one row of
+those choices per strategy, and what the snapshot looks at follows from
+what crosses the channel.
 """
 
 from __future__ import annotations
@@ -73,34 +73,38 @@ class StrategySpec:
     importance update runs; each client's thresholds up, averaged by
     ``aggregate_thresholds``), ``"params"`` (the global model down, each
     client's parameters up, averaged by ``aggregate_params``) or None.
-    ``view`` is what the round-end snapshot masks and evaluates each client
-    with: the ``"global"`` thresholds, the client's ``"own"`` thresholds, or
-    the ``"dense"`` global model under zero thresholds, which prune nothing.
+    ``train_weights`` and ``train_thresholds`` say what local training
+    steps; ``importance`` whether the importance update runs.
+
+    The round-end snapshot masks and evaluates each client with the server's
+    copy of what the strategy exchanges and the client's own copy of the
+    rest. A strategy that trains no thresholds keeps the zero thresholds it
+    starts with, which prune nothing.
     """
 
     exchange: str | None
     train_weights: bool
-    masked: bool  # thresholds train and the mask applies
+    train_thresholds: bool
     importance: bool
-    view: str
 
 
-# columns: exchange, train_weights, masked, importance, view
+# columns: exchange, train_weights, train_thresholds, importance
 STRATEGIES: dict[StrategyId, StrategySpec] = {
-    StrategyId.SPAFL: StrategySpec("thresholds", True, True, True, "global"),
-    StrategyId.SPAFL_NO_IMPORTANCE: StrategySpec("thresholds", True, True, False, "global"),
+    StrategyId.SPAFL: StrategySpec("thresholds", True, True, True),
+    StrategyId.SPAFL_NO_IMPORTANCE: StrategySpec("thresholds", True, True, False),
     # weights stay frozen at initialization, bit-exactly
-    StrategyId.THRESHOLDS_ONLY: StrategySpec("thresholds", False, True, False, "global"),
-    StrategyId.FEDAVG: StrategySpec("params", True, False, False, "dense"),
+    StrategyId.THRESHOLDS_ONLY: StrategySpec("thresholds", False, True, False),
+    # the dense baseline: the masked model at zero thresholds
+    StrategyId.FEDAVG: StrategySpec("params", True, False, False),
     # sampled on the same K-per-round schedule, so training volume compares
-    StrategyId.LOCAL_ONLY: StrategySpec(None, True, True, False, "own"),
+    StrategyId.LOCAL_ONLY: StrategySpec(None, True, True, False),
 }
 
 
 def _view(spec: StrategySpec, sim: Simulation, client: ClientState) -> tuple[list[np.ndarray], NetworkParams]:
-    if spec.view == "dense":
-        return pruning.init_thresholds(sim.net), sim.server.global_params
-    return (sim.server.tau_current if spec.view == "global" else client.tau), client.params
+    tau = sim.server.tau_current if spec.exchange == "thresholds" else client.tau
+    params = sim.server.global_params if spec.exchange == "params" else client.params
+    return tau, params
 
 
 def snapshot_view(sim: Simulation, client: ClientState) -> tuple[list[np.ndarray], NetworkParams]:
@@ -116,7 +120,7 @@ def run_strategy_round(sim: Simulation, round_index: int, do_eval: bool = False)
     training data; send down to the others in id order; train them, on
     ``sim.config.workers`` threads; send up in id order and aggregate; book
     the round's bits and FLOPs in the ledger; then take the snapshot: every
-    client's masks under the strategy's view give the mean per-layer and
+    client's masks under its :func:`snapshot_view` give the mean per-layer and
     overall density and, on an eval round, the mean accuracy. Each client
     trains from its own RNG stream, so the worker count never changes
     results.
@@ -166,8 +170,8 @@ def run_strategy_round(sim: Simulation, round_index: int, do_eval: bool = False)
             momentum=cfg.momentum,
             batch_size=cfg.batch_size,
             rng=client_rng(cfg.seed, round_index, cid),
-            update_params=spec.train_weights,
-            masked=spec.masked,
+            train_weights=spec.train_weights,
+            train_thresholds=spec.train_thresholds,
         )
         return client, tau_k, spent + train_flops
 

@@ -46,14 +46,11 @@ class TestThresholdCount:
         assert acc.threshold_count(nn.build_lenet()) == 580
 
     def test_single_layer(self):
-        assert acc.threshold_count([nn.dense(7)]) == 7
-
-    def test_empty_is_zero(self):
-        assert acc.threshold_count([]) == 0
+        assert acc.threshold_count(nn.Network((3,), [nn.dense(7)])) == 7
 
     def test_pool_and_relu_not_counted(self):
         specs = [nn.conv2d(4, (3, 3)), nn.relu(), nn.maxpool2d((2, 2)), nn.dense(5)]
-        assert acc.threshold_count(specs) == 9
+        assert acc.threshold_count(nn.Network((1, 6, 6), specs)) == 9
 
 
 class TestLayerFlops:

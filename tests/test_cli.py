@@ -4,6 +4,7 @@ dumps and the verify-comm command."""
 import dataclasses
 import json
 import os
+import typing
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spafl import cli as cli_mod
 from spafl import nn, pruning
 from spafl.errors import UsageError
 from spafl.experiment import (
+    MODEL_PRESETS,
     ExperimentConfig,
     build_simulation,
     dump_sparsity_pattern,
@@ -69,6 +71,32 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="resnet"):
             parse_config(None, {"model": "resnet"})
 
+    def test_default_is_the_mlp_preset(self):
+        assert parse_config() == ExperimentConfig(synth_dim=64)
+
+    # every reference value of the two image presets, spelled out, so a
+    # change to a preset or to a default that moves a resolved value fails
+    FULL_PRESETS = {
+        "lenet": dict(
+            lr=0.001, epochs=5, alpha=0.002, batch_size=64, momentum=0.9, lr_decay=1.0,
+            rounds=500, clients=100, clients_per_round=10, dirichlet_beta=0.2, synth_dim=784,
+        ),
+        "cnn7": dict(
+            lr=0.01, epochs=5, alpha=0.00015, batch_size=16, momentum=0.9, lr_decay=1.0,
+            rounds=500, clients=100, clients_per_round=10, dirichlet_beta=0.1, synth_dim=3072,
+        ),
+    }
+
+    @pytest.mark.parametrize("model", sorted(FULL_PRESETS))
+    def test_preset_resolves_to_full_values(self, model):
+        assert parse_config(None, {"model": model}) == ExperimentConfig(model=model, **self.FULL_PRESETS[model])
+
+    @pytest.mark.parametrize("model", sorted(MODEL_PRESETS))
+    def test_preset_holds_no_default(self, model):
+        defaults = ExperimentConfig()
+        same = [k for k, v in MODEL_PRESETS[model].items() if v == getattr(defaults, k)]
+        assert not same, f"{model} preset repeats the defaults of {same}"
+
     def test_idx_requires_paths(self):
         with pytest.raises(UsageError, match="idx_images"):
             parse_config(None, {"dataset": "idx"})
@@ -112,6 +140,43 @@ def test_every_config_key_has_a_run_flag():
 def test_min_per_client_flag():
     args = cli_mod.build_parser().parse_args(["run", "--min-per-client", "5"])
     assert args.min_per_client == 5
+
+
+def _flag_sample(hint):
+    """A command-line string for a field of type ``hint`` and the value it
+    must reach ``parse_config`` as."""
+    if hint == list[int]:
+        return "4,3", [4, 3]
+    arms = [a for a in typing.get_args(hint) if a is not type(None)]
+    return {int: ("3", 3), float: ("0.25", 0.25), str: ("abc", "abc")}[arms[0] if arms else hint]
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
+def test_flag_reaches_parse_config_typed(monkeypatch, field):
+    text, value = _flag_sample(typing.get_type_hints(ExperimentConfig)[field.name])
+    seen = {}
+
+    def capture(path, overrides):
+        seen.update(overrides)
+        raise UsageError("captured")
+
+    monkeypatch.setattr(cli_mod, "parse_config", capture)
+    assert cli_mod.main(["run", "--" + field.name.replace("_", "-"), text]) == 2
+    assert seen == {field.name: value}
+    got = seen[field.name]
+    assert type(got) is type(value)
+    if isinstance(got, list):
+        assert all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize("flag,valid", [("--model", "cnn7, lenet, mlp"), ("--dataset", "synthetic, idx")])
+def test_unknown_model_or_dataset_flag_is_a_usage_error(tmp_path, capsys, flag, valid):
+    out = tmp_path / "out"
+    assert cli_mod.main(["run", flag, "foo", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'foo'" in err
+    assert all(name in err for name in valid.split(", "))
+    assert not out.exists()
 
 
 OUT_OF_RANGE = {

@@ -231,7 +231,7 @@ class TestLocalTrain:
         h = pruning.threshold_gradient(grads, mirror.params)
         nn.sgd_momentum_step(mirror.params, grads, mirror.velocity, lr, momentum)
         nn.clamp_parameters(mirror.params)
-        expected_tau = pruning.threshold_step(tau0, h, lr, alpha)
+        expected_tau = [pruning.threshold_step(t, hi, lr, alpha) for t, hi in zip(tau0, h)]
 
         tau, _ = fed.local_train(
             self.net, self.dataset, client, tau0,
@@ -263,7 +263,7 @@ class TestLocalTrain:
         tau, _ = fed.local_train(
             self.net, self.dataset, client, pruning.init_thresholds(self.net),
             epochs=3, lr=0.1, alpha=0.01, momentum=0.9, batch_size=4,
-            rng=np.random.default_rng(0), update_params=False,
+            rng=np.random.default_rng(0), train_weights=False,
         )
         for a, b in zip(client.params.weights, before.weights):
             assert np.array_equal(a, b)

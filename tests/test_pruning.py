@@ -142,39 +142,44 @@ class TestThresholdGradient:
 
 class TestThresholdStep:
     def test_direct_arithmetic(self):
-        tau = pruning.threshold_step([np.array([0.5])], [np.array([0.0])], lr=0.1, alpha=0.002)
-        assert tau[0][0] == pytest.approx(0.5 + 0.1 * 0.002 * np.exp(-0.5))
-        assert tau[0][0] == pytest.approx(0.500121, abs=1e-6)
+        tau = pruning.threshold_step(np.array([0.5]), np.array([0.0]), lr=0.1, alpha=0.002)
+        assert tau[0] == pytest.approx(0.5 + 0.1 * 0.002 * np.exp(-0.5))
+        assert tau[0] == pytest.approx(0.500121, abs=1e-6)
 
     def test_no_forces(self):
-        tau = pruning.threshold_step([np.array([0.3, 0.8])], [np.zeros(2)], lr=0.1, alpha=0.0)
-        assert np.array_equal(tau[0], [0.3, 0.8])
+        tau = pruning.threshold_step(np.array([0.3, 0.8]), np.zeros(2), lr=0.1, alpha=0.0)
+        assert np.array_equal(tau, [0.3, 0.8])
 
     def test_upper_clamp(self):
-        tau = pruning.threshold_step([np.array([1.0])], [np.zeros(1)], lr=0.5, alpha=1.0)
-        assert tau[0][0] == 1.0
+        tau = pruning.threshold_step(np.array([1.0]), np.zeros(1), lr=0.5, alpha=1.0)
+        assert tau[0] == 1.0
 
     def test_lower_clamp(self):
-        tau = pruning.threshold_step([np.array([0.0])], [np.array([10.0])], lr=0.5, alpha=0.0)
-        assert tau[0][0] == 0.0
+        tau = pruning.threshold_step(np.array([0.0]), np.array([10.0]), lr=0.5, alpha=0.0)
+        assert tau[0] == 0.0
+
+    @pytest.mark.parametrize("h_size", [4, 6])
+    def test_shape_mismatch_raises(self, h_size):
+        with pytest.raises(ConfigurationError, match=f"h shape \\({h_size},\\) does not match tau shape \\(5,\\)"):
+            pruning.threshold_step(np.zeros(5), np.zeros(h_size), lr=0.1, alpha=0.01)
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 30))
     @settings(max_examples=30, deadline=None)
     def test_clamp_invariant_over_sequences(self, seed, steps):
         r = np.random.default_rng(seed)
-        tau = [r.uniform(0, 1, 5)]
+        tau = r.uniform(0, 1, 5)
         for _ in range(steps):
-            h = [r.normal(0, 5, 5)]
+            h = r.normal(0, 5, 5)
             tau = pruning.threshold_step(tau, h, lr=0.3, alpha=r.uniform(0, 1))
-            assert np.all((tau[0] >= 0.0) & (tau[0] <= 1.0))
+            assert np.all((tau >= 0.0) & (tau <= 1.0))
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_monotone_sparsity_force(self, seed):
         r = np.random.default_rng(seed)
-        tau = [r.uniform(0, 0.99, 6)]
-        stepped = pruning.threshold_step(tau, [np.zeros(6)], lr=0.1, alpha=0.01)
-        assert np.all(stepped[0] > tau[0])
+        tau = r.uniform(0, 0.99, 6)
+        stepped = pruning.threshold_step(tau, np.zeros(6), lr=0.1, alpha=0.01)
+        assert np.all(stepped > tau)
 
 
 class TestDensity:
@@ -266,7 +271,6 @@ def _layer_count_calls():
     return {
         "generate_masks": lambda off: pruning.generate_masks(net, params, resized(zeros, off)),
         "density_metrics": lambda off: pruning.density_metrics(net, resized(ones, off)),
-        "threshold_step": lambda off: pruning.threshold_step(zeros, resized(zeros, off), 0.1, 0.01),
         "importance_update": lambda off: federation.importance_update(params, resized(zeros, off)),
         "forward_pass": lambda off: nn.forward_pass(net, params, resized(ones, off), x),
         "backward_pass": lambda off: nn.backward_pass(net, params, resized(ones, off), x, y),

@@ -2,6 +2,8 @@
 laws, frozen-parameter mode, the importance-update ablation, and fair
 cross-strategy initialization."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,24 @@ class TestFedavg:
         run_strategy_round(sim, 0)
         ups = [t for t in sim.channel.transfers if t.direction == "uplink"]
         assert len(ups) == 2
+
+    def test_thresholds_stay_zero_and_ledger_books_dense_epochs(self):
+        # fedavg trains the masked model at its zero starting thresholds,
+        # which prune nothing, even where the regularizer would raise them
+        sim = build_sim(strategy="fedavg")
+        cfg = sim.config
+        assert cfg.alpha > 0
+        dense = [1.0] * len(sim.net.prunable)
+        for t in range(3):
+            ids = fed.sample_clients(cfg.clients, cfg.clients_per_round, copy.deepcopy(sim.server.rng))
+            run_strategy_round(sim, t)
+            n_train = [sim.clients[cid].train_idx.size for cid in ids]
+            expected = sum(
+                cfg.epochs * acc.epoch_flops(sim.net, dense, n, include_importance_update=False) for n in n_train
+            )
+            assert sim.ledger.rounds[t].flops == expected
+            for client in sim.clients:
+                assert all(not tau.any() for tau in client.tau)
 
 
 class TestLocalOnly:
@@ -235,6 +255,6 @@ class TestSnapshot:
         assert tau is sim.clients[1].tau and params is sim.clients[1].params
         sim = sims["fedavg"]
         tau, params = snapshot_view(sim, sim.clients[1])
-        assert params is sim.server.global_params
+        assert tau is sim.clients[1].tau and params is sim.server.global_params
         assert [t.tolist() for t in tau] == [t.tolist() for t in pruning.init_thresholds(sim.net)]
         assert all(not t.any() for t in tau)

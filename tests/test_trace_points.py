@@ -29,12 +29,16 @@ EXPECTED_SPANS = {
         "pruning.generate_masks",
         "pruning.density_metrics",
     },
-    # the dense snapshot masks under zero thresholds, like every other view
+    # local training and the snapshot mask under zero thresholds, like
+    # every other strategy
     "fedavg": {
         "strategies.aggregate_params",
         "federation.channel",
+        "federation.local_train",
         "federation.evaluate",
+        "nn.backward_pass",
         "pruning.generate_masks",
+        "pruning.density_metrics",
     },
     "local_only": {"federation.local_train", "federation.evaluate"},
 }
