@@ -169,9 +169,11 @@ def dirichlet_partition(
     """Assign each class's (shuffled) indices to clients by Dirichlet shares.
 
     For every class, client proportions are drawn from Dirichlet(beta * 1_N)
-    and the class indices are split by the cumulative shares. Draws are
-    repeated (bounded) until every client holds at least ``min_per_client``
-    samples. The result is disjoint and exhaustive over the label pool.
+    and the class indices are split by the floored cumulative shares. Draws
+    are repeated (bounded) until every client holds at least
+    ``min_per_client`` samples; floored cuts can starve a client in every
+    draw, so one more draw after ``max_retries`` failures splits by
+    largest-remainder counts. The result is disjoint and exhaustive.
     """
     if beta <= 0:
         raise ConfigurationError("beta must be > 0")
@@ -180,13 +182,19 @@ def dirichlet_partition(
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     classes = np.unique(labels)
-    for _ in range(max_retries):
+    for attempt in range(max_retries + 1):
         assigned: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
         for c in classes:
             idx = np.flatnonzero(labels == c)
             rng.shuffle(idx)
             props = rng.dirichlet(np.full(n_clients, beta))
-            cuts = (np.cumsum(props)[:-1] * idx.size).astype(int)
+            if attempt < max_retries:
+                cuts = (np.cumsum(props)[:-1] * idx.size).astype(int)
+            else:  # largest remainder: every share floored, the rest to the largest fractional parts
+                share = props * idx.size
+                counts = np.floor(share).astype(int)
+                counts[np.argsort(counts - share, kind="stable")[: idx.size - counts.sum()]] += 1
+                cuts = np.cumsum(counts)[:-1]
             for k, part in enumerate(np.split(idx, cuts)):
                 assigned[k].append(part)
         sizes = [sum(p.size for p in parts) for parts in assigned]
@@ -197,7 +205,7 @@ def dirichlet_partition(
             ]
             return Partition(clients=clients)
     raise ConfigurationError(
-        f"could not give every client >= {min_per_client} samples after {max_retries} draws; "
+        f"could not give every client >= {min_per_client} samples after {max_retries + 1} draws; "
         "use a larger dataset or fewer clients"
     )
 

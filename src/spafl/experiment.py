@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pruning
-from .accounting import CostLedger
+from .accounting import CostLedger, threshold_count
 from .data import Dataset, client_split, dirichlet_partition, load_idx, synth_dataset
 from .errors import ConfigurationError, UsageError
 from .federation import (
@@ -233,28 +233,28 @@ def build_simulation(cfg: ExperimentConfig) -> Simulation:
         seed=int(rngs["split"].integers(2**32)),
     )
     init = init_params(net, rngs["init"])
-    tau0 = pruning.init_thresholds(net)
     # one contiguous block holds every client's parameters (row 0) and
-    # momentum (row 1); each client's flat vectors are rows of it
+    # momentum (row 1), another its thresholds; a client's vectors are rows
     state = np.zeros((2, len(partition.clients), init.n_scalars))
     state[0] = init.flat
+    taus = np.zeros((len(partition.clients), threshold_count(net)))  # every threshold starts at 0
     clients = [
         ClientState(
             client_id=k,
             params=NetworkParams.from_flat(state[0, k], init.layout),
             velocity=NetworkParams.from_flat(state[1, k], init.layout),
-            tau=[t.copy() for t in tau0],
+            tau=taus[k],
             train_idx=entry.train,
             test_idx=entry.test,
         )
         for k, entry in enumerate(partition.clients)
     ]
     server = ServerState(
-        tau_current=[t.copy() for t in tau0],
-        tau_previous=[t.copy() for t in tau0],
+        tau_current=pruning.init_thresholds(net),
+        tau_previous=pruning.init_thresholds(net),
         round_index=0,
         rng=rngs["sampling"],
-        global_params=init.copy(),
+        global_params=init,
     )
     return Simulation(
         net=net,

@@ -3,14 +3,12 @@ channel, client sampling, local training of weights and thresholds,
 threshold aggregation, the importance-driven parameter update derived from
 consecutive global thresholds, and evaluation.
 
-The round itself, including its round-end density and accuracy snapshot,
-is one function in :mod:`spafl.strategies`, which composes these pieces per
-strategy. Parameters never leave a client in threshold-exchange mode; the
-only objects crossing the client/server boundary are threshold vectors (and
-their consecutive-round delta, which rides along at zero wire cost because
-it is reconstructible from the broadcast history). Every transfer goes
-through an instrumented :class:`Channel` so tests can audit both the types
-and the bit counts of a round.
+The round itself, including its round-end snapshot, is one function in
+:mod:`spafl.strategies`, which composes these pieces per strategy.
+Parameters never leave a client in threshold-exchange mode: only flat
+threshold vectors cross the client/server boundary, each through an
+instrumented :class:`Channel` that lets tests audit a round's types and
+bit counts.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from .nn import (
     Network,
     NetworkParams,
     backward_pass,
-    check_layer_count,
     clamp_parameters,
     forward_pass,
     sgd_momentum_step,
@@ -41,29 +38,36 @@ if TYPE_CHECKING:
 @dataclass
 class ClientState:
     """Everything a client owns: dense parameters (never transmitted in
-    threshold-exchange mode), momentum buffers, its data split, and the
-    threshold scratch vector of the most recent local training.
+    threshold-exchange mode), momentum buffers, its data split, and its
+    flat threshold vector (every prunable layer's, in order), which a
+    downlink overwrites and local training steps in place.
 
     ``build_simulation`` lays every client's flat parameter and momentum
-    vectors out as rows of one contiguous block."""
+    vectors out as rows of one (2, N, P) block, its thresholds as rows of
+    one (N, T) block."""
 
     client_id: int
     params: NetworkParams
     velocity: NetworkParams
-    tau: list[np.ndarray]
+    tau: np.ndarray
     train_idx: np.ndarray
     test_idx: np.ndarray
 
 
 @dataclass
 class ServerState:
-    """Current and previous global thresholds plus the sampling stream."""
+    """Current and previous global thresholds plus the sampling stream.
+
+    The thresholds stay per-layer lists, the form in which callers assign
+    chosen start thresholds (the benchmark's half-density start does); each
+    round reads them as flat vectors through ``pruning.flat_thresholds``,
+    which checks their shapes."""
 
     tau_current: list[np.ndarray]
     tau_previous: list[np.ndarray]
     round_index: int
     rng: np.random.Generator
-    global_params: NetworkParams | None = None  # dense-baseline aggregate
+    global_params: NetworkParams  # the dense baseline's aggregate
 
 
 @dataclass(frozen=True)
@@ -93,8 +97,8 @@ class Channel:
     def _payload_copy(self, payload):
         if isinstance(payload, NetworkParams):
             return payload.copy(), payload.n_scalars
-        copied = [np.asarray(a).copy() for a in payload]
-        return copied, sum(a.size for a in copied)
+        copied = np.array(payload, dtype=np.float64)
+        return copied, copied.size
 
     def _send(self, round_index: int, direction: str, kind: str, payload):
         if kind not in self.PRICING:
@@ -142,8 +146,9 @@ def sample_clients(n_clients: int, k: int, rng: np.random.Generator) -> list[int
     return sorted(int(i) for i in ids)
 
 
-def importance_update(params: NetworkParams, delta_tau: list[np.ndarray]) -> None:
-    """Shift every weight row by -(delta/n_in) * sign(row sum), in place.
+def importance_update(params: NetworkParams, delta_tau: np.ndarray) -> None:
+    """Shift every weight row by -(delta/n_in) * sign(row sum), in place,
+    for the flat delta of every layer's rows in order.
 
     The magnitude is |delta|/n_in and the direction combines the sign of the
     global threshold delta with the dominant sign of the row: a row whose
@@ -151,41 +156,38 @@ def importance_update(params: NetworkParams, delta_tau: list[np.ndarray]) -> Non
     whose threshold rose is shrunk. sign(0) counts as +1. Applied to every
     row, pruned or not; biases are untouched; results are clamped to [-1, 1].
     """
-    check_layer_count("delta_tau", len(delta_tau), len(params.weights))
-    deltas = [np.asarray(d, dtype=np.float64) for d in delta_tau]
-    for d, w in zip(deltas, params.weights):
-        if d.shape[0] != w.shape[0]:
-            raise ConfigurationError(
-                f"delta length {d.shape[0]} does not match layer rows {w.shape[0]}"
-            )
-    for d, w in zip(deltas, params.weights):
+    rows = [w.shape[0] for w in params.weights]
+    delta = np.asarray(delta_tau, dtype=np.float64)
+    if delta.shape != (sum(rows),):
+        raise ConfigurationError(f"delta of shape {delta.shape} does not match ({sum(rows)},) weight rows")
+    for d, w in zip(np.split(delta, np.cumsum(rows)[:-1]), params.weights):
         sgn = np.where(w.sum(axis=1) >= 0.0, 1.0, -1.0)
         w -= (d / w.shape[1])[:, None] * sgn[:, None]
     weights = params.flat[: params.n_weights]
     np.clip(weights, -1.0, 1.0, out=weights)
 
 
-def compute_delta_tau(server: ServerState) -> list[np.ndarray]:
-    """Consecutive-round global threshold delta; zeros at round 0."""
-    return [cur - prev for cur, prev in zip(server.tau_current, server.tau_previous)]
+def compute_delta_tau(tau_current: np.ndarray, tau_previous: np.ndarray) -> np.ndarray:
+    """Consecutive-round global threshold delta of two flat vectors; zeros
+    at round 0, where both are the initial thresholds."""
+    return tau_current - tau_previous
 
 
-def aggregate_thresholds(tau_list: list[list[np.ndarray]]) -> list[np.ndarray]:
-    """Equal-weight elementwise mean of the clients' threshold vectors."""
+def aggregate_thresholds(tau_list: list[np.ndarray]) -> np.ndarray:
+    """Equal-weight elementwise mean of the clients' flat threshold vectors:
+    one mean over their (K, T) stack."""
     if not tau_list:
         raise ProtocolError("cannot aggregate an empty set of threshold vectors")
-    layouts = {tuple(t.shape[0] for t in tau) for tau in tau_list}
-    if len(layouts) != 1:
-        raise ProtocolError(f"threshold layouts differ: {layouts}")
-    n_layers = len(tau_list[0])
-    return [np.mean([tau[i] for tau in tau_list], axis=0) for i in range(n_layers)]
+    shapes = {np.shape(tau) for tau in tau_list}
+    if len(shapes) != 1:
+        raise ProtocolError(f"threshold vector shapes differ: {shapes}")
+    return np.mean(np.stack(tau_list), axis=0)
 
 
 def local_train(
     net: Network,
     dataset: Dataset,
     client: ClientState,
-    tau_start: list[np.ndarray],
     *,
     epochs: int,
     lr: float,
@@ -195,15 +197,16 @@ def local_train(
     rng: np.random.Generator,
     train_weights: bool = True,
     train_thresholds: bool = True,
-) -> tuple[list[np.ndarray], int]:
-    """Run local epochs of joint weight/threshold SGD; returns (tau, flops).
+) -> int:
+    """Run local epochs of joint weight/threshold SGD from the client's own
+    parameters and thresholds; returns the FLOPs it spent.
 
     Per epoch: the mask is regenerated from the current local thresholds and
     dense weights (with the dead-layer rescue applied), then every mini-batch
     takes one masked, clamped parameter step and one clamped threshold step.
     The threshold gradient uses the weights the batch gradient was evaluated
-    at. Only the final threshold vector leaves this function; the client's
-    parameters and momentum are mutated in place.
+    at. The client's parameters, momentum and thresholds are stepped in
+    place.
 
     ``train_thresholds=False`` leaves the thresholds as they start (zero
     thresholds keep every unit: the dense model); ``train_weights=False``
@@ -211,20 +214,19 @@ def local_train(
     """
     if client.train_idx.size == 0:
         raise DataError(f"client {client.client_id} has no training samples")
-    # one flat threshold vector and one gradient buffer for the whole call;
-    # the threshold gradient lands in per-layer views of the flat ``h``
-    tau = pruning.flat_thresholds(net, tau_start)
+    # the masks read, and the threshold gradient fills, per-layer views
+    tau = client.tau
+    tau_layers = pruning.layer_thresholds(net, tau)
     h = np.empty_like(tau)
     h_layers = pruning.layer_thresholds(net, h)
     grads = client.params.zeros_like()
     flops = 0
     for epoch in range(epochs):
-        tau_layers = pruning.layer_thresholds(net, tau)
         masks = pruning.generate_masks(net, client.params, tau_layers)
         report = pruning.density_metrics(net, masks)
         if any(rho < pruning.RESET_DENSITY for rho in report.per_layer):
-            tau = np.concatenate(pruning.layer_reset(tau_layers, report))
-            masks = pruning.generate_masks(net, client.params, pruning.layer_thresholds(net, tau))
+            np.concatenate(pruning.layer_reset(tau_layers, report), out=tau)
+            masks = pruning.generate_masks(net, client.params, tau_layers)
             report = pruning.density_metrics(net, masks)
         flops += epoch_flops(net, report.per_layer, client.train_idx.size, include_importance_update=False)
         order = rng.permutation(client.train_idx)
@@ -241,9 +243,8 @@ def local_train(
             except NumericError as exc:
                 raise NumericError(f"client {client.client_id}, epoch {epoch}, batch {batch}: {exc}") from exc
             if train_thresholds:
-                tau = pruning.threshold_step(tau, h, lr, alpha)
-    client.tau = pruning.layer_thresholds(net, tau)
-    return pruning.layer_thresholds(net, tau.copy()), flops
+                tau[:] = pruning.threshold_step(tau, h, lr, alpha)
+    return flops
 
 
 def evaluate(

@@ -101,16 +101,13 @@ STRATEGIES: dict[StrategyId, StrategySpec] = {
 }
 
 
-def _view(spec: StrategySpec, sim: Simulation, client: ClientState) -> tuple[list[np.ndarray], NetworkParams]:
-    tau = sim.server.tau_current if spec.exchange == "thresholds" else client.tau
+def snapshot_view(sim: Simulation, client: ClientState) -> tuple[list[np.ndarray], NetworkParams]:
+    """The per-layer thresholds and the parameters the configured
+    strategy's round-end snapshot masks and evaluates ``client`` with."""
+    spec = STRATEGIES[parse_strategy(sim.config.strategy)]
+    tau = sim.server.tau_current if spec.exchange == "thresholds" else pruning.layer_thresholds(sim.net, client.tau)
     params = sim.server.global_params if spec.exchange == "params" else client.params
     return tau, params
-
-
-def snapshot_view(sim: Simulation, client: ClientState) -> tuple[list[np.ndarray], NetworkParams]:
-    """The thresholds and the parameters the configured strategy's
-    round-end snapshot masks and evaluates ``client`` with."""
-    return _view(STRATEGIES[parse_strategy(sim.config.strategy)], sim, client)
 
 
 def run_strategy_round(sim: Simulation, round_index: int, do_eval: bool = False) -> RoundMetrics:
@@ -128,11 +125,11 @@ def run_strategy_round(sim: Simulation, round_index: int, do_eval: bool = False)
     spec = STRATEGIES[parse_strategy(sim.config.strategy)]
     cfg = sim.config
     server = sim.server
-    if spec.exchange == "params" and server.global_params is None:
-        raise ConfigurationError("fedavg needs server.global_params initialized")
     before = len(sim.channel.transfers)
     ids = sample_clients(cfg.clients, cfg.clients_per_round, server.rng)
-    delta = compute_delta_tau(server) if spec.importance else None
+    tau_global = pruning.flat_thresholds(sim.net, server.tau_current)
+    tau_before = pruning.flat_thresholds(sim.net, server.tau_previous)
+    delta = compute_delta_tau(tau_global, tau_before) if spec.importance else None
     lr = cfg.lr * cfg.lr_decay**round_index
 
     jobs = []
@@ -143,37 +140,28 @@ def run_strategy_round(sim: Simulation, round_index: int, do_eval: bool = False)
             warnings.warn(f"client {cid} has no training data; skipped this round", stacklevel=2)
             skipped.append(cid)
             continue
-        tau_start, delta_recv = client.tau, None
+        delta_recv = None
+        # downlinks land in the client's own rows of the contiguous client state
         if spec.exchange == "thresholds":
-            tau_start = sim.channel.downlink(round_index, "thresholds", server.tau_current)
+            client.tau[:] = sim.channel.downlink(round_index, "thresholds", tau_global)
             if spec.importance:
                 delta_recv = sim.channel.downlink(round_index, "threshold_delta", delta)
         elif spec.exchange == "params":
-            # into the client's own row of the contiguous client state
             client.params.flat[:] = sim.channel.downlink(round_index, "params", server.global_params).flat
-        jobs.append((cid, client, tau_start, delta_recv))
+        jobs.append((cid, client, delta_recv))
 
     def train_one(job):
-        cid, client, tau_start, delta_recv = job
+        cid, client, delta_recv = job
         spent = 0
         if delta_recv is not None:
             federation.importance_update(client.params, delta_recv)
             spent += importance_update_flops(sim.net.param_count)
-        tau_k, train_flops = local_train(
-            sim.net,
-            sim.dataset,
-            client,
-            tau_start,
-            epochs=cfg.epochs,
-            lr=lr,
-            alpha=cfg.alpha,
-            momentum=cfg.momentum,
-            batch_size=cfg.batch_size,
-            rng=client_rng(cfg.seed, round_index, cid),
-            train_weights=spec.train_weights,
-            train_thresholds=spec.train_thresholds,
+        spent += local_train(
+            sim.net, sim.dataset, client, epochs=cfg.epochs, lr=lr, alpha=cfg.alpha, momentum=cfg.momentum,
+            batch_size=cfg.batch_size, rng=client_rng(cfg.seed, round_index, cid),
+            train_weights=spec.train_weights, train_thresholds=spec.train_thresholds,
         )
-        return client, tau_k, spent + train_flops
+        return client, spent
 
     if cfg.workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
@@ -183,16 +171,16 @@ def run_strategy_round(sim: Simulation, round_index: int, do_eval: bool = False)
 
     flops = 0
     uploads = []
-    for client, tau_k, spent in results:  # map keeps the jobs' id order
+    for client, spent in results:  # map keeps the jobs' id order
         flops += spent
         if spec.exchange == "thresholds":
-            uploads.append(sim.channel.uplink(round_index, "thresholds", tau_k))
+            uploads.append(sim.channel.uplink(round_index, "thresholds", client.tau))
         elif spec.exchange == "params":
             uploads.append(sim.channel.uplink(round_index, "params", client.params))
 
     if uploads and spec.exchange == "thresholds":
         server.tau_previous = server.tau_current
-        server.tau_current = federation.aggregate_thresholds(uploads)
+        server.tau_current = pruning.layer_thresholds(sim.net, federation.aggregate_thresholds(uploads))
     elif uploads:
         server.global_params = aggregate_params(uploads)
     server.round_index = round_index + 1
@@ -208,7 +196,7 @@ def run_strategy_round(sim: Simulation, round_index: int, do_eval: bool = False)
     overall = 0.0
     accs = []
     for client in sim.clients:
-        tau, params = _view(spec, sim, client)
+        tau, params = snapshot_view(sim, client)
         masks = pruning.generate_masks(sim.net, params, tau)  # one set serves density and accuracy
         report = pruning.density_metrics(sim.net, masks)
         per_layer += report.per_layer

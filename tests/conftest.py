@@ -14,11 +14,17 @@ import pytest
 
 from spafl import nn
 
-ACCEPTANCE_RESULTS: list[tuple[str, bool]] = []
+ACCEPTANCE_RESULTS: list[tuple[str, bool | None]] = []
 
 
 def record_criterion(name: str, passed: bool) -> None:
     ACCEPTANCE_RESULTS.append((name, passed))
+
+
+def record_note(text: str) -> None:
+    """A line with no verdict, printed where it was recorded among the
+    criteria (under the criterion it explains)."""
+    ACCEPTANCE_RESULTS.append((text, None))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -26,7 +32,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         return
     terminalreporter.section("acceptance criteria")
     for name, passed in ACCEPTANCE_RESULTS:
-        terminalreporter.write_line(f"{'PASS' if passed else 'FAIL'}  {name}")
+        label = "    " if passed is None else "PASS" if passed else "FAIL"
+        terminalreporter.write_line(f"{label}  {name}")
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line
-in the terminal summary (see conftest).
+in the terminal summary (see conftest); the trend verdicts also print their
+per-seed values and paired differences.
 
 The trend criteria run complete federated experiments (four strategies, ten
 seeds each) through a module-scoped fixture so the expensive runs happen
@@ -19,7 +20,7 @@ from spafl.data import dirichlet_partition, synth_dataset
 from spafl.experiment import ExperimentConfig, build_simulation, run_experiment
 from spafl.strategies import run_strategy_round
 
-from conftest import record_criterion
+from conftest import record_criterion, record_note
 
 TREND_SEEDS = list(range(10))
 TREND_STRATEGIES = ("spafl", "local_only", "spafl_no_importance", "thresholds_only")
@@ -183,7 +184,7 @@ def test_criterion_3_importance_update_oracle():
         w = float(rng.uniform(-1, 1))
         d = float(rng.uniform(-0.3, 0.3))
         params = nn.NetworkParams(weights=[np.array([[w]])], biases=[None])
-        fed.importance_update(params, [np.array([d])])
+        fed.importance_update(params, np.array([d]))
         sign = 1.0 if w >= 0.0 else -1.0
         expected = min(1.0, max(-1.0, w - d * sign))
         ok &= params.weights[0][0, 0] == expected  # bit-exact
@@ -234,6 +235,26 @@ def test_criterion_4_channel_discipline():
     assert ok
 
 
+def record_seed_noise(label: str, name: str, values, other_name: str, other) -> None:
+    """Record the noise under a trend verdict ``mean(values) >= mean(other)``
+    (``other`` per seed, or one bar): the per-seed values, the paired
+    per-seed differences' mean and standard error, and how many seeds lie
+    on the verdict's side."""
+    values = np.asarray(values)
+    diff = values - np.asarray(other)
+    se = float(np.std(diff, ddof=1) / np.sqrt(diff.size))
+
+    def per_seed(v):
+        return " ".join(f"{x:.3f}" for x in v)
+
+    parts = [f"{name} per seed {per_seed(values)}"]
+    if np.ndim(other):
+        parts.append(f"{other_name} per seed {per_seed(other)}")
+    parts.append(f"paired diff mean {diff.mean():+.3f} SE {se:.3f}")
+    parts.append(f"{int(np.sum(values >= other))}/{values.size} seeds {name} >= {other_name}")
+    record_note(f"{label}: " + "; ".join(parts))
+
+
 @pytest.mark.slow
 def test_criterion_5_desk_scale_trends(trend_runs):
     spafl = float(np.mean(trend_runs["spafl"]["best"]))
@@ -249,9 +270,14 @@ def test_criterion_5_desk_scale_trends(trend_runs):
     record_criterion(
         f"5a threshold-exchange >= local ({spafl:.3f} vs {local:.3f})", ok_a
     )
+    record_seed_noise("5a", "spafl", trend_runs["spafl"]["best"], "local_only", trend_runs["local_only"]["best"])
     record_criterion(f"5b nontrivial sparsity (final density {density:.3f} < 0.9)", ok_b)
     record_criterion(
         f"5c full protocol >= no-importance ablation ({spafl:.3f} vs {ablation:.3f})", ok_c
+    )
+    record_seed_noise(
+        "5c", "spafl", trend_runs["spafl"]["best"],
+        "spafl_no_importance", trend_runs["spafl_no_importance"]["best"],
     )
     record_criterion(f"5 runtime ({seconds:.0f}s < 600s)", ok_t)
     assert ok_a and ok_b and ok_c and ok_t
@@ -266,6 +292,7 @@ def test_criterion_6_thresholds_only_trend(trend_runs):
     record_criterion(
         f"6 thresholds-only >= 2x chance ({frozen:.3f} vs {2 * chance:.2f}, {seconds:.0f}s)", ok
     )
+    record_seed_noise("6", "thresholds_only", trend_runs["thresholds_only"]["best"], "2x chance", 2 * chance)
     assert ok
 
 
@@ -291,9 +318,9 @@ def test_criterion_7_property_suites():
 
     # aggregation containment
     rng = np.random.default_rng(5)
-    taus = [[rng.uniform(0, 1, 7)] for _ in range(5)]
-    merged = fed.aggregate_thresholds(taus)
-    stack = np.stack([t[0] for t in taus])
+    taus = [rng.uniform(0, 1, 7) for _ in range(5)]
+    merged = fed.aggregate_thresholds(taus)[None]  # one row: the aggregate
+    stack = np.stack(taus)
     ok &= bool(np.all(merged[0] >= stack.min(0) - 1e-15) and np.all(merged[0] <= stack.max(0) + 1e-15))
 
     # partition laws

@@ -144,6 +144,48 @@ class TestDirichletPartition:
         with pytest.raises(ConfigurationError, match="larger dataset or fewer clients"):
             dmod.dirichlet_partition(labels, 4, 0.1, seed=0, min_per_client=2)
 
+    def test_starved_floored_cuts_fall_back_to_largest_remainder(self):
+        # near-equal shares of 19 samples among 20 clients floor the first
+        # cut to 0 in every draw, so client 0 gets nothing from any class
+        labels = np.repeat(np.arange(10), 19)
+        part = dmod.dirichlet_partition(labels, 20, 1e6, seed=0, min_per_client=1)
+        sizes = [c.train.size for c in part.clients]
+        assert len(sizes) == 20 and min(sizes) >= 8 and max(sizes) <= 10
+        merged = np.concatenate([c.train for c in part.clients])
+        assert np.array_equal(np.sort(merged), np.arange(labels.size))
+
+    def test_last_draw_uses_largest_remainder_counts(self):
+        # with no retries the one draw is the fallback: per class, every
+        # client gets the floor or the ceiling of its share, and the
+        # leftovers go to the largest fractional parts
+        labels = np.repeat(np.arange(3), 10)
+        part = dmod.dirichlet_partition(labels, 4, 2.0, seed=6, min_per_client=0, max_retries=0)
+        rng = np.random.default_rng(6)
+        for c in range(3):
+            rng.shuffle(np.flatnonzero(labels == c))
+            share = rng.dirichlet(np.full(4, 2.0)) * 10
+            got = np.array([np.sum(labels[p.train] == c) for p in part.clients])
+            up = got == np.floor(share) + 1
+            assert got.sum() == 10 and np.all(up | (got == np.floor(share)))
+            frac = share - np.floor(share)
+            assert frac[up].min(initial=1.0) >= frac[~up].max(initial=0.0)
+
+    def test_first_draw_success_keeps_floored_cuts(self):
+        # a partition the floored draws give is unchanged by the fallback:
+        # replay the first draw's floored cuts by hand
+        labels = np.repeat(np.arange(3), 12)
+        part = dmod.dirichlet_partition(labels, 4, 5.0, seed=8, min_per_client=1)
+        rng = np.random.default_rng(8)
+        expected = [[] for _ in range(4)]
+        for c in range(3):
+            idx = np.flatnonzero(labels == c)
+            rng.shuffle(idx)
+            props = rng.dirichlet(np.full(4, 5.0))
+            for k, piece in enumerate(np.split(idx, (np.cumsum(props)[:-1] * idx.size).astype(int))):
+                expected[k].append(piece)
+        for got, parts in zip(part.clients, expected):
+            assert np.array_equal(got.train, np.concatenate(parts))
+
     def test_entropy_ordering_beta(self):
         # smaller concentration -> more skewed clients -> lower mean entropy
         labels = np.repeat(np.arange(10), 100)

@@ -51,28 +51,28 @@ class TestSampleClients:
 class TestImportanceUpdate:
     def test_reinforces_positive_dominant_row(self):
         params = nn.NetworkParams(weights=[np.full((1, 4), 0.2)], biases=[np.zeros(1)])
-        fed.importance_update(params, [np.array([-0.02])])
+        fed.importance_update(params, np.array([-0.02]))
         assert np.allclose(params.weights[0], 0.205)
 
     def test_reinforces_negative_dominant_row(self):
         params = nn.NetworkParams(weights=[np.full((1, 4), -0.2)], biases=[np.zeros(1)])
-        fed.importance_update(params, [np.array([-0.02])])
+        fed.importance_update(params, np.array([-0.02]))
         assert np.allclose(params.weights[0], -0.205)
 
     def test_zero_delta_is_identity(self, rng):
         w = rng.uniform(-1, 1, (5, 3))
         params = nn.NetworkParams(weights=[w.copy()], biases=[np.zeros(5)])
-        fed.importance_update(params, [np.zeros(5)])
+        fed.importance_update(params, np.zeros(5))
         assert np.array_equal(params.weights[0], w)
 
     def test_biases_untouched(self, rng):
         params = nn.NetworkParams(weights=[rng.uniform(-1, 1, (3, 4))], biases=[np.array([0.1, 0.2, 0.3])])
-        fed.importance_update(params, [np.array([0.5, -0.5, 0.1])])
+        fed.importance_update(params, np.array([0.5, -0.5, 0.1]))
         assert np.array_equal(params.biases[0], [0.1, 0.2, 0.3])
 
     def test_result_clamped(self):
         params = nn.NetworkParams(weights=[np.full((1, 1), 0.999)], biases=[None])
-        fed.importance_update(params, [np.array([-0.9])])
+        fed.importance_update(params, np.array([-0.9]))
         assert params.weights[0][0, 0] == 1.0
 
     def test_width_one_oracle_bit_exact(self):
@@ -82,7 +82,7 @@ class TestImportanceUpdate:
             w = rng.uniform(-1, 1)
             d = rng.uniform(-0.2, 0.2)
             params = nn.NetworkParams(weights=[np.array([[w]])], biases=[None])
-            fed.importance_update(params, [np.array([d])])
+            fed.importance_update(params, np.array([d]))
             sign = 1.0 if w >= 0 else -1.0
             expected = min(1.0, max(-1.0, w - d * sign))
             assert params.weights[0][0, 0] == expected
@@ -95,7 +95,7 @@ class TestImportanceUpdate:
         w = sign * r.uniform(0.05, 0.5, (1, 6))
         d = r.uniform(-0.1, 0.1)
         params = nn.NetworkParams(weights=[w.copy()], biases=[None])
-        fed.importance_update(params, [np.array([d])])
+        fed.importance_update(params, np.array([d]))
         moved = params.weights[0] - w
         expected_dir = -np.sign(d) * sign
         if d != 0:
@@ -104,25 +104,35 @@ class TestImportanceUpdate:
 
     def test_length_mismatch(self):
         params = nn.NetworkParams(weights=[np.zeros((3, 2))], biases=[None])
-        with pytest.raises(ConfigurationError):
-            fed.importance_update(params, [np.zeros(2)])
+        with pytest.raises(ConfigurationError, match=r"delta of shape \(2,\) does not match \(3,\) weight rows"):
+            fed.importance_update(params, np.zeros(2))
+
+    def test_flat_delta_splits_at_layer_rows(self, rng):
+        # one flat delta over two layers equals the update of each layer alone
+        w0, w1 = rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (2, 3))
+        d = rng.uniform(-0.2, 0.2, 5)
+        both = nn.NetworkParams(weights=[w0.copy(), w1.copy()], biases=[None, None])
+        fed.importance_update(both, d)
+        for w, part, got in ((w0, d[:3], both.weights[0]), (w1, d[3:], both.weights[1])):
+            alone = nn.NetworkParams(weights=[w.copy()], biases=[None])
+            fed.importance_update(alone, part)
+            assert np.array_equal(got, alone.weights[0])
 
 
 class TestAggregateThresholds:
     def test_single_client_identity(self):
-        tau = [np.array([0.1, 0.9]), np.array([0.5])]
+        tau = np.array([0.1, 0.9, 0.5])
         out = fed.aggregate_thresholds([tau])
-        for a, b in zip(out, tau):
-            assert np.array_equal(a, b)
+        assert np.array_equal(out, tau)
 
     def test_hand_mean(self):
-        out = fed.aggregate_thresholds([[np.array([0.2, 0.4])], [np.array([0.4, 0.6])]])
-        assert np.allclose(out[0], [0.3, 0.5])
+        out = fed.aggregate_thresholds([np.array([0.2, 0.4]), np.array([0.4, 0.6])])
+        assert np.allclose(out, [0.3, 0.5])
 
     def test_consensus_idempotent(self):
-        tau = [np.array([0.3, 0.7])]
+        tau = np.array([0.3, 0.7])
         out = fed.aggregate_thresholds([tau] * 5)
-        assert np.allclose(out[0], tau[0])
+        assert np.allclose(out, tau)
 
     def test_empty_rejected(self):
         with pytest.raises(ProtocolError):
@@ -130,53 +140,67 @@ class TestAggregateThresholds:
 
     def test_layout_mismatch_rejected(self):
         with pytest.raises(ProtocolError):
-            fed.aggregate_thresholds([[np.zeros(3)], [np.zeros(4)]])
+            fed.aggregate_thresholds([np.zeros(3), np.zeros(4)])
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
     def test_mean_contained_in_envelope(self, seed, k):
         r = np.random.default_rng(seed)
-        taus = [[r.uniform(0, 1, 5)] for _ in range(k)]
+        taus = [r.uniform(0, 1, 5) for _ in range(k)]
         out = fed.aggregate_thresholds(taus)
-        stack = np.stack([t[0] for t in taus])
-        assert np.all(out[0] >= stack.min(axis=0) - 1e-15)
-        assert np.all(out[0] <= stack.max(axis=0) + 1e-15)
+        stack = np.stack(taus)
+        assert np.all(out >= stack.min(axis=0) - 1e-15)
+        assert np.all(out <= stack.max(axis=0) + 1e-15)
+
+    @pytest.mark.parametrize(
+        "make_net",
+        [
+            nn.build_lenet,
+            lambda: nn.build_mlp(64, [256, 64], 10),
+            nn.build_cnn7,
+        ],
+        ids=["lenet", "mlp", "cnn7"],
+    )
+    def test_stacked_mean_equals_per_layer_mean_bit_for_bit(self, make_net):
+        # the mean over the (K, T) stack of flat vectors against the mean of
+        # each layer's (K, n_l) stack it replaced
+        net = make_net()
+        r = np.random.default_rng(17)
+        for k in list(range(1, 11)) * 3:
+            taus = [r.uniform(0, 1, sum(net.threshold_sizes)) for _ in range(k)]
+            out = pruning.layer_thresholds(net, fed.aggregate_thresholds(taus))
+            per_client = [pruning.layer_thresholds(net, t) for t in taus]
+            for i, got in enumerate(out):
+                assert got.tobytes() == np.mean([tau[i] for tau in per_client], axis=0).tobytes()
 
 
 class TestDeltaTau:
-    def make_server(self, cur, prev):
-        return fed.ServerState(
-            tau_current=[np.array(cur)],
-            tau_previous=[np.array(prev)],
-            round_index=1,
-            rng=np.random.default_rng(0),
-        )
-
     def test_equal_vectors_give_zero(self):
-        assert np.array_equal(fed.compute_delta_tau(self.make_server([0.4], [0.4]))[0], [0.0])
+        assert np.array_equal(fed.compute_delta_tau(np.array([0.4]), np.array([0.4])), [0.0])
 
     def test_subtraction(self):
-        delta = fed.compute_delta_tau(self.make_server([0.28], [0.30]))
-        assert np.allclose(delta[0], [-0.02])
+        delta = fed.compute_delta_tau(np.array([0.28, 0.5]), np.array([0.30, 0.5]))
+        assert np.allclose(delta, [-0.02, 0.0])
 
     def test_round_zero_zero_by_construction(self):
-        tau0 = [np.zeros(4)]
-        server = fed.ServerState(
-            tau_current=[t.copy() for t in tau0],
-            tau_previous=[t.copy() for t in tau0],
-            round_index=0,
-            rng=np.random.default_rng(0),
+        sim = build_sim()
+        server = sim.server
+        delta = fed.compute_delta_tau(
+            pruning.flat_thresholds(sim.net, server.tau_current),
+            pruning.flat_thresholds(sim.net, server.tau_previous),
         )
-        assert np.array_equal(fed.compute_delta_tau(server)[0], np.zeros(4))
+        assert np.array_equal(delta, np.zeros(acc.threshold_count(sim.net)))
 
 
-def small_client(net, dataset, seed=0, n_train=12):
+def small_client(net, dataset, seed=0, n_train=12, tau=None):
+    """A client whose flat thresholds start at the per-layer ``tau``
+    (zeros by default)."""
     params = nn.init_params(net, np.random.default_rng(seed))
     return fed.ClientState(
         client_id=0,
         params=params,
         velocity=params.zeros_like(),
-        tau=pruning.init_thresholds(net),
+        tau=pruning.flat_thresholds(net, pruning.init_thresholds(net) if tau is None else tau),
         train_idx=np.arange(n_train),
         test_idx=np.arange(n_train, min(n_train + 8, dataset.n)),
     )
@@ -188,14 +212,14 @@ class TestLocalTrain:
         self.net = nn.build_mlp(6, [5], 3)
 
     def test_zero_lr_returns_global_thresholds(self):
-        client = small_client(self.net, self.dataset)
         tau0 = [np.full(5, 0.2), np.full(3, 0.1)]
-        tau, _ = fed.local_train(
-            self.net, self.dataset, client, tau0,
+        client = small_client(self.net, self.dataset, tau=tau0)
+        fed.local_train(
+            self.net, self.dataset, client,
             epochs=3, lr=0.0, alpha=0.5, momentum=0.9, batch_size=4,
             rng=np.random.default_rng(0),
         )
-        for a, b in zip(tau, tau0):
+        for a, b in zip(pruning.layer_thresholds(self.net, client.tau), tau0):
             assert np.array_equal(a, b)
 
     def test_no_forces_returns_global_thresholds(self):
@@ -205,22 +229,22 @@ class TestLocalTrain:
 
         net = nn.Network((6,), [nn.dense(5, bias=False), nn.relu(), nn.dense(3, bias=False)])
         ds = Dataset(samples=np.zeros((12, 6)), labels=np.zeros(12, dtype=int), n_classes=3)
-        client = small_client(net, ds)
         tau0 = [np.full(5, 0.01), np.full(3, 0.01)]
-        tau, _ = fed.local_train(
-            net, ds, client, tau0,
+        client = small_client(net, ds, tau=tau0)
+        fed.local_train(
+            net, ds, client,
             epochs=2, lr=0.1, alpha=0.0, momentum=0.9, batch_size=4,
             rng=np.random.default_rng(0),
         )
-        for a, b in zip(tau, tau0):
+        for a, b in zip(pruning.layer_thresholds(net, client.tau), tau0):
             assert np.array_equal(a, b)
 
     def test_single_batch_equals_hand_composition(self):
         # E=1 with one batch must equal generate_mask -> backward ->
         # threshold_gradient (pre-step weights) -> sgd+clamp -> threshold_step
-        client = small_client(self.net, self.dataset)
-        mirror = small_client(self.net, self.dataset)
         tau0 = [np.full(5, 0.02), np.full(3, 0.01)]
+        client = small_client(self.net, self.dataset, tau=tau0)
+        mirror = small_client(self.net, self.dataset)
         lr, alpha, momentum = 0.05, 0.01, 0.9
         rng = np.random.default_rng(11)
         order = rng.permutation(client.train_idx)
@@ -233,12 +257,12 @@ class TestLocalTrain:
         nn.clamp_parameters(mirror.params)
         expected_tau = [pruning.threshold_step(t, hi, lr, alpha) for t, hi in zip(tau0, h)]
 
-        tau, _ = fed.local_train(
-            self.net, self.dataset, client, tau0,
+        fed.local_train(
+            self.net, self.dataset, client,
             epochs=1, lr=lr, alpha=alpha, momentum=momentum, batch_size=64,
             rng=np.random.default_rng(11),
         )
-        for a, b in zip(tau, expected_tau):
+        for a, b in zip(pruning.layer_thresholds(self.net, client.tau), expected_tau):
             assert np.array_equal(a, b)
         for a, b in zip(client.params.weights, mirror.params.weights):
             assert np.array_equal(a, b)
@@ -248,48 +272,46 @@ class TestLocalTrain:
     def test_identical_data_and_seeds_identical_result(self):
         a = small_client(self.net, self.dataset, seed=4)
         b = small_client(self.net, self.dataset, seed=4)
-        tau0 = pruning.init_thresholds(self.net)
         kw = dict(epochs=2, lr=0.05, alpha=0.01, momentum=0.9, batch_size=4)
-        ta, _ = fed.local_train(self.net, self.dataset, a, tau0, rng=np.random.default_rng(5), **kw)
-        tb, _ = fed.local_train(self.net, self.dataset, b, tau0, rng=np.random.default_rng(5), **kw)
-        for x, y in zip(ta, tb):
-            assert np.array_equal(x, y)
+        fa = fed.local_train(self.net, self.dataset, a, rng=np.random.default_rng(5), **kw)
+        fb = fed.local_train(self.net, self.dataset, b, rng=np.random.default_rng(5), **kw)
+        assert fa == fb
+        assert np.array_equal(a.tau, b.tau)
         for x, y in zip(a.params.weights, b.params.weights):
             assert np.array_equal(x, y)
 
     def test_frozen_parameters_mode(self):
         client = small_client(self.net, self.dataset)
         before = client.params.copy()
-        tau, _ = fed.local_train(
-            self.net, self.dataset, client, pruning.init_thresholds(self.net),
+        fed.local_train(
+            self.net, self.dataset, client,
             epochs=3, lr=0.1, alpha=0.01, momentum=0.9, batch_size=4,
             rng=np.random.default_rng(0), train_weights=False,
         )
         for a, b in zip(client.params.weights, before.weights):
             assert np.array_equal(a, b)
-        assert any(np.any(t != 0) for t in tau)  # thresholds still moved
+        assert np.any(client.tau != 0)  # thresholds still moved
 
     def test_empty_partition_raises(self):
         client = small_client(self.net, self.dataset, n_train=0)
         client.train_idx = np.array([], dtype=int)
         with pytest.raises(Exception):
             fed.local_train(
-                self.net, self.dataset, client, pruning.init_thresholds(self.net),
+                self.net, self.dataset, client,
                 epochs=1, lr=0.1, alpha=0.0, momentum=0.9, batch_size=4,
                 rng=np.random.default_rng(0),
             )
 
     def test_layer_reset_rescues_dead_layer(self):
-        client = small_client(self.net, self.dataset)
         # thresholds above every mu: the whole first layer would be dead
-        tau0 = [np.ones(5), np.zeros(3)]
-        tau, _ = fed.local_train(
-            self.net, self.dataset, client, tau0,
+        client = small_client(self.net, self.dataset, tau=[np.ones(5), np.zeros(3)])
+        fed.local_train(
+            self.net, self.dataset, client,
             epochs=1, lr=0.0, alpha=0.0, momentum=0.9, batch_size=64,
             rng=np.random.default_rng(0),
         )
         # with zero density the layer resets to zero thresholds (lr 0 keeps them)
-        assert np.array_equal(tau[0], np.zeros(5))
+        assert np.array_equal(client.tau, np.zeros(8))
 
 
 class TestEvaluate:
@@ -304,7 +326,7 @@ class TestEvaluate:
         ds = Dataset(samples=samples, labels=labels, n_classes=3)
         client = fed.ClientState(
             client_id=0, params=params, velocity=params.zeros_like(),
-            tau=[np.zeros(3)], train_idx=np.array([0]), test_idx=np.arange(5),
+            tau=np.zeros(3), train_idx=np.array([0]), test_idx=np.arange(5),
         )
         assert fed.evaluate(net, ds, client, masks=None) == 1.0
 
@@ -314,7 +336,7 @@ class TestEvaluate:
         params = nn.init_params(net, np.random.default_rng(123))
         client = fed.ClientState(
             client_id=0, params=params, velocity=params.zeros_like(),
-            tau=pruning.init_thresholds(net), train_idx=np.array([0]),
+            tau=np.zeros(acc.threshold_count(net)), train_idx=np.array([0]),
             test_idx=np.arange(ds.n),
         )
         acc_val = fed.evaluate(net, ds, client, masks=None)
@@ -327,7 +349,7 @@ class TestEvaluate:
         params = nn.init_params(net, np.random.default_rng(0))
         client = fed.ClientState(
             client_id=0, params=params, velocity=params.zeros_like(),
-            tau=pruning.init_thresholds(net), train_idx=np.arange(5),
+            tau=np.zeros(acc.threshold_count(net)), train_idx=np.arange(5),
             test_idx=np.array([], dtype=int),
         )
         assert fed.evaluate(net, ds, client, masks=None) is None
@@ -341,7 +363,7 @@ class TestEvaluate:
                      labels=np.zeros(10, dtype=int), n_classes=3)
         client = fed.ClientState(
             client_id=0, params=params, velocity=params.zeros_like(),
-            tau=[np.ones(3)], train_idx=np.array([0]), test_idx=np.arange(10),
+            tau=np.ones(3), train_idx=np.array([0]), test_idx=np.arange(10),
         )
         # all rows pruned -> logits all zero -> argmax picks class 0 everywhere
         masks = pruning.generate_masks(net, params, [np.ones(3)])
@@ -373,6 +395,33 @@ class TestRunRound:
             run_strategy_round(sim, t)
         for a, b in zip(sim.server.tau_current, before):
             assert np.array_equal(a, b)
+
+    def test_thresholds_assigned_before_round_0_are_what_it_sends(self):
+        # a caller may start from chosen global thresholds by assigning
+        # per-layer lists to both server fields before round 0, as the
+        # benchmark's half-density start does: round 0 must send exactly
+        # those, and a zero delta
+        sim = build_sim(clients_per_round=6)
+        tau = [np.full(w.shape[0], np.median(pruning.row_mean_abs(w))) for w in sim.clients[0].params.weights]
+        sim.server.tau_current = tau
+        sim.server.tau_previous = [t.copy() for t in tau]
+        sent = []
+        downlink = sim.channel.downlink
+
+        def recording(round_index, kind, payload):
+            sent.append((kind, np.array(payload)))
+            return downlink(round_index, kind, payload)
+
+        sim.channel.downlink = recording
+        run_strategy_round(sim, 0)
+        kinds = [kind for kind, _ in sent]
+        assert kinds.count("thresholds") == kinds.count("threshold_delta") == len(sim.clients)
+        expected = np.concatenate(tau)
+        for kind, payload in sent:
+            if kind == "thresholds":
+                assert payload.tobytes() == expected.tobytes()
+            else:
+                assert payload.shape == expected.shape and not payload.any()
 
     def test_channel_discipline_and_bits(self):
         sim = build_sim()

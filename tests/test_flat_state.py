@@ -5,6 +5,7 @@ replaced, bit for bit."""
 import numpy as np
 import pytest
 
+import spafl.accounting as acc
 from spafl import federation as fed
 from spafl import nn, pruning
 from spafl.accounting import epoch_flops
@@ -212,20 +213,18 @@ class TestFlatLocalTrainMatchesPerLayer:
         params = nn.init_params(net, np.random.default_rng(2))
         for b in params.biases:
             b[...] = np.random.default_rng(3).uniform(-0.1, 0.1, b.shape)
+        tau0 = _median_thresholds(params, case["dead"])
         client = fed.ClientState(
-            client_id=0, params=params, velocity=params.zeros_like(), tau=pruning.init_thresholds(net),
+            client_id=0, params=params, velocity=params.zeros_like(), tau=pruning.flat_thresholds(net, tau0),
             train_idx=np.arange(case["n_train"]), test_idx=np.arange(0),
         )
-        tau0 = _median_thresholds(params, case["dead"])
         kw = dict(epochs=2, lr=0.05, alpha=0.01, momentum=0.9, batch_size=case["batch"])
         ref_tau, ref_flops, ref_w, ref_b, ref_vw, ref_vb = reference_local_train(
             net, dataset, client, tau0, rng=np.random.default_rng(9), **kw
         )
-        tau, flops = fed.local_train(net, dataset, client, tau0, rng=np.random.default_rng(9), **kw)
+        flops = fed.local_train(net, dataset, client, rng=np.random.default_rng(9), **kw)
         assert flops == ref_flops
-        for a, b in zip(tau, ref_tau):
-            assert a.tobytes() == b.tobytes()
-        for a, b in zip(client.tau, ref_tau):
+        for a, b in zip(pruning.layer_thresholds(net, client.tau), ref_tau):
             assert a.tobytes() == b.tobytes()
         for a, b in zip(_views(client.params), ref_w + [b for b in ref_b if b is not None]):
             assert a.tobytes() == b.tobytes()
@@ -237,6 +236,25 @@ class TestFlatLocalTrainMatchesPerLayer:
         params = nn.init_params(net, np.random.default_rng(2))
         masks = pruning.generate_masks(net, params, _median_thresholds(params, dead_layer=1))
         assert pruning.density_metrics(net, masks).per_layer[1] < pruning.RESET_DENSITY
+
+
+@pytest.mark.parametrize("strategy", ["spafl", "local_only", "fedavg"])
+def test_client_thresholds_stay_rows_of_one_block(strategy):
+    # every client's thresholds are one row of an (N, T) block, and a round
+    # steps them in place, so they stay rows of it
+    sim = build_simulation(ExperimentConfig(
+        strategy=strategy, clients=4, clients_per_round=2, epochs=1, synth_classes=3,
+        synth_dim=8, synth_per_class=10, mlp_hidden=[6], seed=0,
+    ))
+    block = sim.clients[0].tau.base
+    assert block.shape == (4, acc.threshold_count(sim.net)) and block.dtype == np.float64
+    assert block.flags.c_contiguous
+    for t in range(2):
+        run_strategy_round(sim, t)
+        for k, client in enumerate(sim.clients):
+            assert client.tau.base is block and client.tau.ctypes.data == block[k].ctypes.data
+    if strategy != "fedavg":
+        assert block.any()  # and the thresholds moved
 
 
 class TestNumericErrorNamesTheClient:

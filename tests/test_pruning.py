@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spafl import federation, nn, pruning
+from spafl import nn, pruning
 from spafl.errors import ConfigurationError
 
 from conftest import tiny_conv_net, tiny_dense_net
@@ -243,10 +243,8 @@ class TestRecovery:
         from spafl.federation import aggregate_thresholds
 
         mu = np.array([0.5])
-        tau_a = [np.array([0.9])]
-        tau_b = [np.array([0.05])]
-        merged = aggregate_thresholds([tau_a, tau_b])
-        assert pruning.generate_mask(mu, merged[0])[0] == 1.0
+        merged = aggregate_thresholds([np.array([0.9]), np.array([0.05])])
+        assert pruning.generate_mask(mu, merged)[0] == 1.0
 
 
 def test_init_thresholds_zero():
@@ -271,7 +269,6 @@ def _layer_count_calls():
     return {
         "generate_masks": lambda off: pruning.generate_masks(net, params, resized(zeros, off)),
         "density_metrics": lambda off: pruning.density_metrics(net, resized(ones, off)),
-        "importance_update": lambda off: federation.importance_update(params, resized(zeros, off)),
         "forward_pass": lambda off: nn.forward_pass(net, params, resized(ones, off), x),
         "backward_pass": lambda off: nn.backward_pass(net, params, resized(ones, off), x, y),
     }
