@@ -10,6 +10,7 @@ the script prints its path)
 import tempfile
 
 from spafl.experiment import ExperimentConfig, build_simulation, dump_sparsity_pattern
+from spafl.pruning import generate_masks
 from spafl.strategies import run_strategy_round
 
 OUT = tempfile.mkdtemp(prefix="spafl-patterns-")
@@ -24,10 +25,9 @@ sim = build_simulation(cfg)
 for t in range(cfg.rounds):
     run_strategy_round(sim, t)
     if (t + 1) % 10 == 0:
+        masks = generate_masks(sim.net, sim.clients[0].params, sim.server.tau_current)
         for layer in range(len(sim.net.prunable)):
-            path = dump_sparsity_pattern(
-                sim.net, sim.clients[0], sim.server.tau_current, layer=layer, round_index=t, out_dir=OUT
-            )
+            path = dump_sparsity_pattern(sim.net, sim.clients[0], masks, layer=layer, round_index=t, out_dir=OUT)
             mask_rows = open(path).read().splitlines()[3:]
             active = sum(1 for row in mask_rows if row.split()[0] == "0")
             print(f"round {t + 1:2d} layer {layer}: {active}/{len(mask_rows)} units active -> {path}")

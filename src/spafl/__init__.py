@@ -46,7 +46,6 @@ from .federation import (
     ServerState,
     Simulation,
     aggregate_thresholds,
-    compute_delta_tau,
     evaluate,
     importance_update,
     local_train,

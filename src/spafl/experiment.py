@@ -252,7 +252,6 @@ def build_simulation(cfg: ExperimentConfig) -> Simulation:
     server = ServerState(
         tau_current=pruning.init_thresholds(net),
         tau_previous=pruning.init_thresholds(net),
-        round_index=0,
         rng=rngs["sampling"],
         global_params=init,
     )
@@ -270,12 +269,13 @@ def build_simulation(cfg: ExperimentConfig) -> Simulation:
 def dump_sparsity_pattern(
     net: Network,
     client: ClientState,
-    tau: list[np.ndarray],
+    masks: list[np.ndarray],
     layer: int,
     round_index: int,
     out_dir: str,
 ) -> str:
-    """Write one prunable layer's mask as an ASCII portable graymap.
+    """Write one prunable layer's mask, from the client's ``masks`` (one
+    per prunable layer), as an ASCII portable graymap.
 
     Raster rows are the layer's output units: an active unit's row is 0
     (black), a pruned one's is 255 (white), mirroring the mask exactly.
@@ -284,7 +284,7 @@ def dump_sparsity_pattern(
         raise ConfigurationError(
             f"layer {layer} is not prunable; prunable layers: 0..{len(net.prunable) - 1}"
         )
-    mask = pruning.generate_masks(net, client.params, tau)[layer]
+    mask = masks[layer]
     n_in = net.specs[net.prunable[layer]].n_in
     path = os.path.join(out_dir, f"mask_c{client.client_id}_l{layer}_r{round_index}.pgm")
     lines = ["P2", f"{n_in} {mask.size}", "255"]
@@ -331,9 +331,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
                 )
             )
         if cfg.dump_masks_every > 0 and (t + 1) % cfg.dump_masks_every == 0:
-            tau, _ = snapshot_view(sim, sim.clients[0])
+            tau, params = snapshot_view(sim, sim.clients[0])
+            masks = pruning.generate_masks(sim.net, params, tau)  # one set serves every layer's dump
             for layer in range(len(sim.net.prunable)):
-                dump_sparsity_pattern(sim.net, sim.clients[0], tau, layer, t, out_dir)
+                dump_sparsity_pattern(sim.net, sim.clients[0], masks, layer, t, out_dir)
 
     with open(os.path.join(out_dir, "metrics.csv"), "w") as f:
         f.write("\n".join([CSV_HEADER] + rows) + "\n")

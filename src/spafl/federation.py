@@ -1,14 +1,14 @@
 """Round building blocks: client and server state, the instrumented
 channel, client sampling, local training of weights and thresholds,
-threshold aggregation, the importance-driven parameter update derived from
-consecutive global thresholds, and evaluation.
+threshold aggregation, the importance-driven parameter update, and
+evaluation.
 
 The round itself, including its round-end snapshot, is one function in
-:mod:`spafl.strategies`, which composes these pieces per strategy.
-Parameters never leave a client in threshold-exchange mode: only flat
-threshold vectors cross the client/server boundary, each through an
+:mod:`spafl.strategies`, which composes these pieces per strategy. Only
+flat float64 vectors cross the client/server boundary, each through an
 instrumented :class:`Channel` that lets tests audit a round's types and
-bit counts.
+bit counts: in threshold-exchange mode a client's threshold row, never its
+parameters.
 """
 
 from __future__ import annotations
@@ -56,16 +56,16 @@ class ClientState:
 
 @dataclass
 class ServerState:
-    """Current and previous global thresholds plus the sampling stream.
+    """Current and previous global thresholds, the dense baseline's global
+    model, and the sampling stream.
 
     The thresholds stay per-layer lists, the form in which callers assign
-    chosen start thresholds (the benchmark's half-density start does); each
+    chosen start thresholds (the benchmark's half-density start does); a
     round reads them as flat vectors through ``pruning.flat_thresholds``,
-    which checks their shapes."""
+    which checks their shapes. The ledger counts the rounds played."""
 
     tau_current: list[np.ndarray]
     tau_previous: list[np.ndarray]
-    round_index: int
     rng: np.random.Generator
     global_params: NetworkParams  # the dense baseline's aggregate
 
@@ -80,8 +80,10 @@ class Transfer:
 
 
 class Channel:
-    """Instrumented client/server link: every transfer is type-tagged and
-    billed at 32 bits per scalar.
+    """Instrumented client/server link: every transfer is one flat float64
+    vector, type-tagged and billed at 32 bits per scalar. Any other payload
+    (a parameter container, a matrix) raises :class:`ProtocolError`; the
+    receiver gets an owned copy.
 
     A ``threshold_delta`` payload is billed zero bits: the delta of two
     consecutive global threshold broadcasts carries no information a listener
@@ -94,26 +96,23 @@ class Channel:
     def __init__(self):
         self.transfers: list[Transfer] = []
 
-    def _payload_copy(self, payload):
-        if isinstance(payload, NetworkParams):
-            return payload.copy(), payload.n_scalars
-        copied = np.array(payload, dtype=np.float64)
-        return copied, copied.size
-
-    def _send(self, round_index: int, direction: str, kind: str, payload):
+    def _send(self, round_index: int, direction: str, kind: str, payload: np.ndarray) -> np.ndarray:
         if kind not in self.PRICING:
             raise ProtocolError(f"kind {kind!r} may not cross the client/server boundary")
-        copied, n_scalars = self._payload_copy(payload)
+        if not isinstance(payload, np.ndarray) or payload.ndim != 1:
+            shape = getattr(payload, "shape", None)
+            raise ProtocolError(f"a {kind} payload must be one flat vector, got {type(payload).__name__} {shape}")
+        copied = np.array(payload, dtype=np.float64)
         self.transfers.append(
-            Transfer(round_index, direction, kind, n_scalars, n_scalars * self.PRICING[kind])
+            Transfer(round_index, direction, kind, copied.size, copied.size * self.PRICING[kind])
         )
         return copied
 
-    def downlink(self, round_index: int, kind: str, payload):
+    def downlink(self, round_index: int, kind: str, payload: np.ndarray) -> np.ndarray:
         """Server-to-client transfer; returns an owned copy for the client."""
         return self._send(round_index, "downlink", kind, payload)
 
-    def uplink(self, round_index: int, kind: str, payload):
+    def uplink(self, round_index: int, kind: str, payload: np.ndarray) -> np.ndarray:
         """Client-to-server transfer; returns an owned copy for the server."""
         return self._send(round_index, "uplink", kind, payload)
 
@@ -167,21 +166,21 @@ def importance_update(params: NetworkParams, delta_tau: np.ndarray) -> None:
     np.clip(weights, -1.0, 1.0, out=weights)
 
 
-def compute_delta_tau(tau_current: np.ndarray, tau_previous: np.ndarray) -> np.ndarray:
-    """Consecutive-round global threshold delta of two flat vectors; zeros
-    at round 0, where both are the initial thresholds."""
-    return tau_current - tau_previous
+def _stack_mean(vectors: list[np.ndarray], what: str) -> np.ndarray:
+    """Equal-weight elementwise mean of same-shape vectors: one mean over
+    their (K, n) stack."""
+    if not vectors:
+        raise ProtocolError(f"cannot aggregate an empty set of {what}")
+    shapes = {np.shape(v) for v in vectors}
+    if len(shapes) != 1:
+        raise ProtocolError(f"{what} shapes differ: {shapes}")
+    return np.mean(np.stack(vectors), axis=0)
 
 
 def aggregate_thresholds(tau_list: list[np.ndarray]) -> np.ndarray:
     """Equal-weight elementwise mean of the clients' flat threshold vectors:
     one mean over their (K, T) stack."""
-    if not tau_list:
-        raise ProtocolError("cannot aggregate an empty set of threshold vectors")
-    shapes = {np.shape(tau) for tau in tau_list}
-    if len(shapes) != 1:
-        raise ProtocolError(f"threshold vector shapes differ: {shapes}")
-    return np.mean(np.stack(tau_list), axis=0)
+    return _stack_mean(tau_list, "threshold vectors")
 
 
 def local_train(

@@ -21,13 +21,12 @@ import numpy as np
 
 from . import federation, pruning
 from .accounting import importance_update_flops
-from .errors import ConfigurationError, ProtocolError
+from .errors import ConfigurationError
 from .federation import (
     ClientState,
     RoundMetrics,
     Simulation,
     client_rng,
-    compute_delta_tau,
     local_train,
     sample_clients,
 )
@@ -53,22 +52,18 @@ def parse_strategy(name: str) -> StrategyId:
         ) from None
 
 
-def aggregate_params(params_list: list[NetworkParams]) -> NetworkParams:
-    """Equal-weight elementwise mean of full parameter sets: one mean over
-    the (K, P) stack of their flat vectors."""
-    if not params_list:
-        raise ProtocolError("cannot aggregate an empty set of parameter sets")
-    layout = params_list[0].layout
-    if any(p.layout != layout for p in params_list):
-        raise ProtocolError("parameter layouts differ")
-    return NetworkParams.from_flat(np.mean(np.stack([p.flat for p in params_list]), axis=0), layout)
+def aggregate_params(flats: list[np.ndarray], layout) -> NetworkParams:
+    """Equal-weight elementwise mean of the clients' flat parameter vectors
+    (one mean over their (K, P) stack), as a model laid out as ``layout``."""
+    return NetworkParams.from_flat(federation._stack_mean(flats, "parameter vectors"), layout)
 
 
 @dataclass(frozen=True)
 class StrategySpec:
     """One strategy's choices within the shared round.
 
-    ``exchange`` is what crosses the channel, both ways, and is aggregated:
+    ``exchange`` is the channel kind of what crosses it, both ways, as one
+    flat vector, and is aggregated:
     ``"thresholds"`` (the global thresholds down, plus their delta when the
     importance update runs; each client's thresholds up, averaged by
     ``aggregate_thresholds``), ``"params"`` (the global model down, each
@@ -110,15 +105,23 @@ def snapshot_view(sim: Simulation, client: ClientState) -> tuple[list[np.ndarray
     return tau, params
 
 
+def _row(client: ClientState, exchange: str) -> np.ndarray:
+    """The client's row of what is exchanged: its thresholds or parameters."""
+    return client.tau if exchange == "thresholds" else client.params.flat
+
+
 def run_strategy_round(sim: Simulation, round_index: int, do_eval: bool = False) -> RoundMetrics:
     """One round of the configured strategy.
 
     Sample K clients; skip (with a warning) a sampled client without
-    training data; send down to the others in id order; train them, on
-    ``sim.config.workers`` threads; send up in id order and aggregate; book
-    the round's bits and FLOPs in the ledger; then take the snapshot: every
-    client's masks under its :func:`snapshot_view` give the mean per-layer and
-    overall density and, on an eval round, the mean accuracy. Each client
+    training data. What the strategy exchanges is one flat vector on the
+    server and one row per client: one downlink writes the vector into each
+    other sampled client's row, in id order (with the threshold delta when
+    the importance update runs); train them, on ``sim.config.workers``
+    threads; one uplink sends each trained row back, in id order, and the
+    server takes their mean. Then book the round in the ledger and take the
+    snapshot: every client's masks under its :func:`snapshot_view` give the
+    mean density and, on an eval round, the mean accuracy. Each client
     trains from its own RNG stream, so the worker count never changes
     results.
     """
@@ -127,9 +130,10 @@ def run_strategy_round(sim: Simulation, round_index: int, do_eval: bool = False)
     server = sim.server
     before = len(sim.channel.transfers)
     ids = sample_clients(cfg.clients, cfg.clients_per_round, server.rng)
-    tau_global = pruning.flat_thresholds(sim.net, server.tau_current)
-    tau_before = pruning.flat_thresholds(sim.net, server.tau_previous)
-    delta = compute_delta_tau(tau_global, tau_before) if spec.importance else None
+    down = (pruning.flat_thresholds(sim.net, server.tau_current)
+            if spec.exchange == "thresholds" else server.global_params.flat)
+    if spec.importance:  # only threshold-exchange strategies run it
+        delta = down - pruning.flat_thresholds(sim.net, server.tau_previous)
     lr = cfg.lr * cfg.lr_decay**round_index
 
     jobs = []
@@ -140,14 +144,10 @@ def run_strategy_round(sim: Simulation, round_index: int, do_eval: bool = False)
             warnings.warn(f"client {cid} has no training data; skipped this round", stacklevel=2)
             skipped.append(cid)
             continue
-        delta_recv = None
-        # downlinks land in the client's own rows of the contiguous client state
-        if spec.exchange == "thresholds":
-            client.tau[:] = sim.channel.downlink(round_index, "thresholds", tau_global)
-            if spec.importance:
-                delta_recv = sim.channel.downlink(round_index, "threshold_delta", delta)
-        elif spec.exchange == "params":
-            client.params.flat[:] = sim.channel.downlink(round_index, "params", server.global_params).flat
+        # downlinks land in the client's own row of the contiguous client state
+        if spec.exchange is not None:
+            _row(client, spec.exchange)[:] = sim.channel.downlink(round_index, spec.exchange, down)
+        delta_recv = sim.channel.downlink(round_index, "threshold_delta", delta) if spec.importance else None
         jobs.append((cid, client, delta_recv))
 
     def train_one(job):
@@ -169,21 +169,14 @@ def run_strategy_round(sim: Simulation, round_index: int, do_eval: bool = False)
     else:
         results = [train_one(job) for job in jobs]
 
-    flops = 0
-    uploads = []
-    for client, spent in results:  # map keeps the jobs' id order
-        flops += spent
+    flops = sum(spent for _, spent in results)
+    if spec.exchange is not None and results:  # map keeps the jobs' id order
+        uploads = [sim.channel.uplink(round_index, spec.exchange, _row(c, spec.exchange)) for c, _ in results]
         if spec.exchange == "thresholds":
-            uploads.append(sim.channel.uplink(round_index, "thresholds", client.tau))
-        elif spec.exchange == "params":
-            uploads.append(sim.channel.uplink(round_index, "params", client.params))
-
-    if uploads and spec.exchange == "thresholds":
-        server.tau_previous = server.tau_current
-        server.tau_current = pruning.layer_thresholds(sim.net, federation.aggregate_thresholds(uploads))
-    elif uploads:
-        server.global_params = aggregate_params(uploads)
-    server.round_index = round_index + 1
+            server.tau_previous = server.tau_current
+            server.tau_current = pruning.layer_thresholds(sim.net, federation.aggregate_thresholds(uploads))
+        else:
+            server.global_params = aggregate_params(uploads, server.global_params.layout)
 
     sim.ledger.add_round(
         round_index,

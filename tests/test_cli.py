@@ -4,7 +4,10 @@ dumps and the verify-comm command."""
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,8 +263,8 @@ class TestSparsityDump:
 
     def test_all_active_is_black(self, tmp_path):
         sim = self.build()
-        tau = pruning.init_thresholds(sim.net)
-        path = dump_sparsity_pattern(sim.net, sim.clients[0], tau, 0, 0, str(tmp_path))
+        masks = pruning.generate_masks(sim.net, sim.clients[0].params, pruning.init_thresholds(sim.net))
+        path = dump_sparsity_pattern(sim.net, sim.clients[0], masks, 0, 0, str(tmp_path))
         lines = open(path).read().splitlines()
         assert lines[0] == "P2"
         w, h = map(int, lines[1].split())
@@ -274,7 +277,8 @@ class TestSparsityDump:
     def test_fully_pruned_is_white(self, tmp_path):
         sim = self.build()
         tau = [np.ones(n) for n in sim.net.threshold_sizes]
-        path = dump_sparsity_pattern(sim.net, sim.clients[0], tau, 1, 4, str(tmp_path))
+        masks = pruning.generate_masks(sim.net, sim.clients[0].params, tau)
+        path = dump_sparsity_pattern(sim.net, sim.clients[0], masks, 1, 4, str(tmp_path))
         values = np.array([int(v) for row in open(path).read().splitlines()[3:] for v in row.split()])
         assert np.all(values == 255)
         assert path.endswith("mask_c0_l1_r4.pgm")
@@ -284,7 +288,7 @@ class TestSparsityDump:
         rng = np.random.default_rng(3)
         tau = [rng.uniform(0, 0.2, n) for n in sim.net.threshold_sizes]
         masks = pruning.generate_masks(sim.net, sim.clients[0].params, tau)
-        path = dump_sparsity_pattern(sim.net, sim.clients[0], tau, 0, 2, str(tmp_path))
+        path = dump_sparsity_pattern(sim.net, sim.clients[0], masks, 0, 2, str(tmp_path))
         lines = open(path).read().splitlines()
         raster = np.array([[int(v) for v in row.split()] for row in lines[3:]])
         # one raster row per unit, its bit repeated across the n_in fan-in columns
@@ -293,9 +297,9 @@ class TestSparsityDump:
 
     def test_non_prunable_layer_rejected(self, tmp_path):
         sim = self.build()
-        tau = pruning.init_thresholds(sim.net)
+        masks = pruning.generate_masks(sim.net, sim.clients[0].params, pruning.init_thresholds(sim.net))
         with pytest.raises(Exception, match="prunable"):
-            dump_sparsity_pattern(sim.net, sim.clients[0], tau, 99, 0, str(tmp_path))
+            dump_sparsity_pattern(sim.net, sim.clients[0], masks, 99, 0, str(tmp_path))
 
 
 class TestCliMain:
@@ -311,6 +315,17 @@ class TestCliMain:
         out = capsys.readouterr().out
         assert out.count("Gbit") == 1
         assert "185600000 bits" in out
+
+    def test_python_dash_m_spafl(self):
+        # the package runs as a module, against the checkout's own source
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "spafl", "verify-comm", "--preset", "fmnist-lenet"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "0.1856 Gbit" in proc.stdout
 
     def test_run_command_end_to_end(self, tmp_path, capsys):
         code = cli_mod.main(

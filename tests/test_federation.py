@@ -175,21 +175,67 @@ class TestAggregateThresholds:
 
 
 class TestDeltaTau:
-    def test_equal_vectors_give_zero(self):
-        assert np.array_equal(fed.compute_delta_tau(np.array([0.4]), np.array([0.4])), [0.0])
-
-    def test_subtraction(self):
-        delta = fed.compute_delta_tau(np.array([0.28, 0.5]), np.array([0.30, 0.5]))
-        assert np.allclose(delta, [-0.02, 0.0])
+    """The importance update's delta is the server's current flat global
+    thresholds minus its previous ones, as they stand when the round
+    begins; the round sends it down beside the thresholds."""
 
     def test_round_zero_zero_by_construction(self):
         sim = build_sim()
-        server = sim.server
-        delta = fed.compute_delta_tau(
-            pruning.flat_thresholds(sim.net, server.tau_current),
-            pruning.flat_thresholds(sim.net, server.tau_previous),
-        )
-        assert np.array_equal(delta, np.zeros(acc.threshold_count(sim.net)))
+        sent = record_downlinks(sim)
+        run_strategy_round(sim, 0)
+        deltas = [payload for kind, payload in sent if kind == "threshold_delta"]
+        assert len(deltas) == sim.config.clients_per_round
+        for delta in deltas:
+            assert np.array_equal(delta, np.zeros(acc.threshold_count(sim.net)))
+
+    def test_subtraction(self):
+        sim = build_sim()
+        run_strategy_round(sim, 0)
+        current = pruning.flat_thresholds(sim.net, sim.server.tau_current)
+        previous = pruning.flat_thresholds(sim.net, sim.server.tau_previous)
+        assert np.any(current != previous)  # round 0 moved them, so the sign shows
+        sent = record_downlinks(sim)
+        run_strategy_round(sim, 1)
+        deltas = [payload for kind, payload in sent if kind == "threshold_delta"]
+        assert len(deltas) == sim.config.clients_per_round
+        for delta in deltas:
+            assert delta.tobytes() == (current - previous).tobytes()
+
+    def test_equal_vectors_give_zero(self):
+        sim = build_sim(lr=0.0, alpha=0.0)  # the thresholds never move
+        run_strategy_round(sim, 0)
+        sent = record_downlinks(sim)
+        run_strategy_round(sim, 1)
+        deltas = [payload for kind, payload in sent if kind == "threshold_delta"]
+        assert deltas and not any(delta.any() for delta in deltas)
+
+
+class TestChannel:
+    def test_flat_payload_arrives_as_owned_float64_copy(self):
+        channel = fed.Channel()
+        payload = np.array([1, 2, 3])
+        got = channel.downlink(0, "thresholds", payload)
+        assert got.dtype == np.float64 and np.array_equal(got, payload)
+        got[0] = 9.0
+        assert payload[0] == 1
+        assert channel.bits() == 3 * acc.BITS_PER_SCALAR
+
+    def test_parameter_container_rejected(self):
+        channel = fed.Channel()
+        params = nn.NetworkParams(weights=[np.zeros((2, 3))], biases=[np.zeros(2)])
+        with pytest.raises(ProtocolError, match="flat vector"):
+            channel.uplink(0, "params", params)
+        assert len(channel) == 0
+
+    def test_matrix_payload_rejected(self):
+        channel = fed.Channel()
+        with pytest.raises(ProtocolError, match="flat vector"):
+            channel.downlink(0, "thresholds", np.zeros((2, 3)))
+        assert len(channel) == 0
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ProtocolError, match="may not cross"):
+            fed.Channel().uplink(0, "gradients", np.zeros(3))
 
 
 def small_client(net, dataset, seed=0, n_train=12, tau=None):
@@ -380,6 +426,19 @@ def build_sim(**kw) -> fed.Simulation:
     return build_simulation(ExperimentConfig(**base))
 
 
+def record_downlinks(sim: fed.Simulation) -> list[tuple[str, np.ndarray]]:
+    """From now on, every downlink's (kind, copy of its payload), in order."""
+    sent = []
+    downlink = sim.channel.downlink
+
+    def recording(round_index, kind, payload):
+        sent.append((kind, np.array(payload)))
+        return downlink(round_index, kind, payload)
+
+    sim.channel.downlink = recording
+    return sent
+
+
 class TestRunRound:
     def test_k1_aggregation_is_identity(self):
         sim = build_sim(clients_per_round=1)
@@ -405,14 +464,7 @@ class TestRunRound:
         tau = [np.full(w.shape[0], np.median(pruning.row_mean_abs(w))) for w in sim.clients[0].params.weights]
         sim.server.tau_current = tau
         sim.server.tau_previous = [t.copy() for t in tau]
-        sent = []
-        downlink = sim.channel.downlink
-
-        def recording(round_index, kind, payload):
-            sent.append((kind, np.array(payload)))
-            return downlink(round_index, kind, payload)
-
-        sim.channel.downlink = recording
+        sent = record_downlinks(sim)
         run_strategy_round(sim, 0)
         kinds = [kind for kind, _ in sent]
         assert kinds.count("thresholds") == kinds.count("threshold_delta") == len(sim.clients)

@@ -138,7 +138,7 @@ class TestFlatOptimizer:
             p = base.zeros_like()
             p.flat[:] = rng.uniform(-1, 1, p.n_scalars)
             sets.append(p)
-        out = aggregate_params(sets)
+        out = aggregate_params([p.flat for p in sets], base.layout)
         for i, w in enumerate(out.weights):
             assert np.array_equal(w, np.mean([p.weights[i] for p in sets], axis=0))
             assert np.array_equal(out.biases[i], np.mean([p.biases[i] for p in sets], axis=0))

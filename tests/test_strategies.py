@@ -10,7 +10,7 @@ import pytest
 import spafl.accounting as acc
 from spafl import federation as fed
 from spafl import nn, pruning
-from spafl.errors import ConfigurationError
+from spafl.errors import ConfigurationError, ProtocolError
 from spafl.experiment import ExperimentConfig, build_simulation
 from spafl.strategies import (
     StrategyId,
@@ -55,15 +55,21 @@ class TestAggregateParams:
         w = rng.uniform(-1, 1, (3, 4))
         a = nn.NetworkParams(weights=[w.copy()], biases=[np.ones(3)])
         b = nn.NetworkParams(weights=[-w.copy()], biases=[-np.ones(3)])
-        out = aggregate_params([a, b])
+        out = aggregate_params([a.flat, b.flat], a.layout)
         assert np.allclose(out.weights[0], 0.0)
         assert np.allclose(out.biases[0], 0.0)
 
     def test_consensus(self, rng):
         w = rng.uniform(-1, 1, (2, 2))
         p = nn.NetworkParams(weights=[w], biases=[None])
-        out = aggregate_params([p, p, p])
+        out = aggregate_params([p.flat, p.flat, p.flat], p.layout)
+        assert out.layout == p.layout
         assert np.allclose(out.weights[0], w)
+
+    def test_length_mismatch_rejected(self):
+        p = nn.NetworkParams(weights=[np.zeros((2, 2))], biases=[None])
+        with pytest.raises(ProtocolError):
+            aggregate_params([p.flat, np.zeros(5)], p.layout)
 
 
 class TestFedavg:
@@ -91,9 +97,12 @@ class TestFedavg:
 
     def test_aggregate_is_mean_of_returned_models(self):
         sim = build_sim(strategy="fedavg", clients_per_round=2, epochs=1)
+        ids = fed.sample_clients(6, 2, copy.deepcopy(sim.server.rng))
         run_strategy_round(sim, 0)
         ups = [t for t in sim.channel.transfers if t.direction == "uplink"]
         assert len(ups) == 2
+        trained = [sim.clients[cid].params.flat for cid in ids]
+        assert np.array_equal(sim.server.global_params.flat, np.mean(np.stack(trained), axis=0))
 
     def test_thresholds_stay_zero_and_ledger_books_dense_epochs(self):
         # fedavg trains the masked model at its zero starting thresholds,
